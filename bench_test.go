@@ -79,7 +79,7 @@ func BenchmarkOEstimateRETAIL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.OEstimate(bf, ft, core.OEOptions{}); err != nil {
+		if _, err := core.OEstimateCtx(context.Background(), bf, ft, core.OEOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkPropagationRETAIL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Propagate(); err != nil {
+		if _, err := g.PropagateCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func BenchmarkSamplerSweepRETAIL(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := matching.NewSampler(g, rand.New(rand.NewSource(2)))
+	s, err := matching.NewSampler(context.Background(), g, rand.New(rand.NewSource(2)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func BenchmarkAssessRiskCHESS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := recipe.AssessRisk(ft, recipe.Options{Tolerance: 0.1, Propagate: true, Rng: rng}); err != nil {
+		if _, err := recipe.AssessRiskCtx(context.Background(), ft, recipe.Options{Tolerance: 0.1, Propagate: true, Rng: rng}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func BenchmarkDirectMethod(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ExactExpectedCracks(e); err != nil {
+		if _, err := core.ExactExpectedCracksCtx(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func BenchmarkSamplerParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := matching.Config{SeedSweeps: 20, SampleGap: 2, SamplesPerSeed: 100, Samples: 200, Runs: 8, BatchK: 64}
+	cfg := matching.Config{SeedSweeps: 20, SampleGap: 2, SamplesPerSeed: 100, Samples: 200, Runs: 8}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			ctx := parallel.WithWorkers(context.Background(), w)
@@ -296,7 +296,7 @@ func BenchmarkOEstimateScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.OEstimate(bf, ft, core.OEOptions{Propagate: true}); err != nil {
+				if _, err := core.OEstimateCtx(context.Background(), bf, ft, core.OEOptions{Propagate: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

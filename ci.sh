@@ -15,11 +15,6 @@
 #   ./ci.sh -serve   additionally run the riskd serving smoke test
 #                    (ephemeral port, health probe, assess round-trip,
 #                    cached repeat, clean shutdown)
-#   ./ci.sh -serve-bench  additionally run cmd/riskbench against a
-#                    self-hosted riskd — four deterministic traffic mixes
-#                    (hot_digest, cold_digest, delta, degraded), fixed seed —
-#                    and emit BENCH_serve.json (p50/p99 latency, throughput,
-#                    and a workload digest per mix)
 #   ./ci.sh -lint    additionally run staticcheck and govulncheck when they
 #                    are installed (each is skipped with a notice otherwise;
 #                    this container has no network to fetch them)
@@ -53,16 +48,15 @@
 # escape-analysis gate: kernel heap escapes must match the committed
 # baseline, in both directions (new escapes and stale entries both fail).
 #
-# Flags combine in any order: ./ci.sh -short -bench -serve -serve-bench
-# -lint -chaos -registry -delta -escape-update. Exits non-zero on the first
-# failure.
+# Flags combine in any order: ./ci.sh -short -bench -serve -lint -chaos
+# -registry -delta -escape-update. Exits non-zero on the first failure.
+# The serving benchmark lives in riskdbench/ (bash riskdbench/run.sh).
 set -eu
 cd "$(dirname "$0")"
 
 short=""
 bench=""
 serve=""
-serve_bench=""
 lint=""
 chaos=""
 registry=""
@@ -73,7 +67,6 @@ for arg in "$@"; do
 	-short) short="-short" ;;
 	-bench) bench="yes" ;;
 	-serve) serve="yes" ;;
-	-serve-bench) serve_bench="yes" ;;
 	-lint) lint="yes" ;;
 	-chaos) chaos="yes" ;;
 	-registry) registry="yes" ;;
@@ -81,7 +74,7 @@ for arg in "$@"; do
 	-escape-update) escape_update="yes" ;;
 	*)
 		echo "ci.sh: unknown flag: $arg" >&2
-		echo "usage: ./ci.sh [-short] [-bench] [-serve] [-serve-bench] [-lint] [-chaos] [-registry] [-delta] [-escape-update]" >&2
+		echo "usage: ./ci.sh [-short] [-bench] [-serve] [-lint] [-chaos] [-registry] [-delta] [-escape-update]" >&2
 		exit 2
 		;;
 	esac
@@ -230,15 +223,6 @@ fi
 if [ -n "$serve" ]; then
 	echo "== riskd serving smoke test =="
 	go run ./cmd/riskd -selfcheck
-fi
-
-if [ -n "$serve_bench" ]; then
-	echo "== serving benchmark (cmd/riskbench, self-hosted riskd) =="
-	# Fixed (seed, requests): each mix's workload digest in the output is a
-	# pure function of these, so consecutive runs replay identical work and
-	# the latency/throughput numbers are comparable run over run.
-	go run ./cmd/riskbench -requests 200 -concurrency 4 -seed 1 -o BENCH_serve.json
-	echo "wrote BENCH_serve.json"
 fi
 
 if [ -n "$chaos" ]; then

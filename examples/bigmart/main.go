@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -76,7 +77,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	exact, err := core.ExactExpectedCracks(graph.ToExplicit())
+	exact, err := core.ExactExpectedCracksCtx(context.Background(), graph.ToExplicit())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func main() {
 		{Lo: freqs[0], Hi: freqs[0]}, {Lo: freqs[0], Hi: freqs[1]},
 		{Lo: freqs[0], Hi: freqs[2]}, {Lo: freqs[0], Hi: freqs[3]},
 	})
-	plain, err := core.OEstimate(stairs, ft, core.OEOptions{})
+	plain, err := core.OEstimateCtx(context.Background(), stairs, ft, core.OEOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prop, err := core.OEstimate(stairs, ft, core.OEOptions{Propagate: true})
+	prop, err := core.OEstimateCtx(context.Background(), stairs, ft, core.OEOptions{Propagate: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func main() {
 
 	// Figure 6(b): the irrelevant edge (2', 3).
 	e := bipartite.MustExplicit(4, [][]int{{0, 1}, {0, 1, 2}, {2, 3}, {2, 3}})
-	exact6b, err := core.ExactExpectedCracks(e)
+	exact6b, err := core.ExactExpectedCracksCtx(context.Background(), e)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func main() {
 	// Section 8.2 (ongoing work): itemset-level knowledge. Within BigMart's
 	// 0.5-frequency group the items camouflage each other — until the hacker
 	// also knows pairwise supports, which the color refinement exploits.
-	cracksPairs, ref, err := itemsetrisk.ExpectedCracksPairAware(db, 0)
+	cracksPairs, ref, err := itemsetrisk.ExpectedCracksPairAware(context.Background(), db, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

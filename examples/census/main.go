@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -51,7 +52,7 @@ func main() {
 	must(mary.Range(schema, "age", "30-35", "35-40"))
 	info := relation.PartialInfo{0: john, 1: mary} // Bob: absent = no knowledge
 
-	rep, err := relation.AssessDisclosure(pop, info, false)
+	rep, err := relation.AssessDisclosureCtx(context.Background(), pop, info, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func main() {
 			must(k.Exact(schema, attr.Name, attr.Values[pop.Value(x, ai)]))
 			info[x] = k
 		}
-		rep, err := relation.AssessDisclosure(pop, info, false)
+		rep, err := relation.AssessDisclosureCtx(context.Background(), pop, info, false)
 		if err != nil {
 			log.Fatal(err)
 		}

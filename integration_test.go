@@ -7,6 +7,7 @@ package anonrisk
 // ORIGINAL items; cracks are counted through the secret key.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,7 +84,7 @@ func TestIdSpaceConventionMatchesRealAttack(t *testing.T) {
 
 		// Expected cracks agree: in the hacker view, a crack is the event
 		// that released id a maps to ToOrig[a].
-		probs, err := hg.EdgeInclusionProbability()
+		probs, err := hg.EdgeInclusionProbabilityCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestIdSpaceConventionMatchesRealAttack(t *testing.T) {
 		for a := 0; a < n; a++ {
 			hackerExp += probs[a][key.ToOrig[a]]
 		}
-		idExp, err := core.ExactExpectedCracks(idGraph.ToExplicit())
+		idExp, err := core.ExactExpectedCracksCtx(context.Background(), idGraph.ToExplicit())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestConcreteAttackCracksCountThroughKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := matching.NewSampler(g, rng)
+	s, err := matching.NewSampler(context.Background(), g, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,10 @@
 //
 //  1. An exported function or method whose body contains a loop nest of
 //     depth ≥ 2 — the mechanical signature of "iterates over the dataset or
-//     graph, possibly superlinearly" — must either accept a
-//     context.Context or have a sibling named <Name>Ctx that does.
+//     graph, possibly superlinearly" — must accept a context.Context.
 //  2. context.Background()/context.TODO() may not originate inside a
 //     provider: a kernel that invents its own context cannot be canceled
-//     by its caller. The one blessed pattern is the compatibility wrapper
+//     by its caller. This also rules out context-free wrappers
 //     `func F(...)` forwarding to `FCtx(context.Background(), ...)`.
 //
 // Consumer packages (the serving layer: internal/server, cmd/riskd):
@@ -75,9 +74,9 @@ func RoleOf(path string) Role {
 // Analyzer is the ctxbudget check.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxbudget",
-	Doc: "exported compute kernels with nested loops must accept a context.Context " +
-		"(or have a ...Ctx sibling), kernels must not originate contexts, and the " +
-		"serving layer must call the Ctx variant when one exists",
+	Doc: "exported compute kernels with nested loops must accept a context.Context, " +
+		"kernels must not originate contexts, and the serving layer must call the " +
+		"Ctx variant when one exists",
 	Run: run,
 }
 
@@ -91,7 +90,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// --- rule 1: exported loopers need a context or a Ctx sibling ---
+// --- rule 1: exported loopers need a context ---
 
 func checkProvider(pass *analysis.Pass) {
 	for _, f := range pass.Files {
@@ -106,12 +105,9 @@ func checkProvider(pass *analysis.Pass) {
 			if maxLoopDepth(fn.Body) < 2 {
 				continue
 			}
-			if hasCtxSibling(pass, fn) {
-				continue
-			}
 			pass.Reportf(fn.Name.Pos(),
-				"exported %s loops over its input (nest depth ≥ 2) but neither accepts a context.Context nor has a %sCtx sibling; heavy work must be budgetable",
-				fn.Name.Name, fn.Name.Name)
+				"exported %s loops over its input (nest depth ≥ 2) but does not accept a context.Context; heavy work must be budgetable",
+				fn.Name.Name)
 		}
 		checkNoContextOrigin(pass, f)
 	}
@@ -137,31 +133,6 @@ func isContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// hasCtxSibling reports whether Name+"Ctx" exists: as a package-level
-// function for functions, or as a method on the same receiver type for
-// methods.
-func hasCtxSibling(pass *analysis.Pass, fn *ast.FuncDecl) bool {
-	want := fn.Name.Name + "Ctx"
-	if fn.Recv == nil {
-		return pass.Pkg.Scope().Lookup(want) != nil
-	}
-	if len(fn.Recv.List) == 0 {
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[fn.Recv.List[0].Type]
-	if !ok {
-		return false
-	}
-	recv := tv.Type
-	ms := types.NewMethodSet(recv)
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == want {
-			return true
-		}
-	}
-	return false
 }
 
 // maxLoopDepth computes the deepest for/range nesting in a body. Function
@@ -206,15 +177,11 @@ func checkNoContextOrigin(pass *analysis.Pass, f *ast.File) {
 			if !ok {
 				return true
 			}
-			// Blessed wrapper: F forwarding to FCtx(context.Background(), ...).
-			if calleeName(pass, call) == fn.Name.Name+"Ctx" {
-				return false // don't descend into the forwarded arguments
-			}
 			if fnObj := callTarget(pass, call); fnObj != nil &&
 				fnObj.Pkg() != nil && fnObj.Pkg().Path() == "context" &&
 				(fnObj.Name() == "Background" || fnObj.Name() == "TODO") {
 				pass.Reportf(call.Pos(),
-					"context.%s originates inside a compute kernel; accept a context.Context from the caller (only the <F> → <F>Ctx compatibility wrapper may use it)",
+					"context.%s originates inside a compute kernel; accept a context.Context from the caller",
 					fnObj.Name())
 			}
 			return true
@@ -284,11 +251,4 @@ func callTarget(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
-	if f := callTarget(pass, call); f != nil {
-		return f.Name()
-	}
-	return ""
 }

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,7 @@ func BenchmarkPropagate10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Propagate(); err != nil {
+		if _, err := g.PropagateCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func BenchmarkPerfectMatching10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.PerfectMatching(); err != nil {
+		if _, err := g.PerfectMatchingCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +90,7 @@ func BenchmarkCountPerfectMatchings16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.CountPerfectMatchings(); err != nil {
+		if _, err := e.CountPerfectMatchingsCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +102,7 @@ func BenchmarkHopcroftKarp1k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.MaximumMatching()
+		e.MaximumMatchingCtx(context.Background())
 	}
 }
 
@@ -111,6 +112,6 @@ func BenchmarkRasmussen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RasmussenEstimate(e, 100, rng)
+		RasmussenEstimateCtx(context.Background(), e, 100, rng)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // ExactSampler draws perfect matchings of a small explicit graph EXACTLY
-// uniformly, using the same subset dynamic program as CountPerfectMatchings:
+// uniformly, using the same subset dynamic program as countPerfectMatchings:
 // row w is matched left to right, choosing column x with probability
 // proportional to the number of completions dp[remaining \ {x}]. It is the
 // sample-level ground truth the MCMC sampler is validated against; the table
@@ -21,15 +21,11 @@ type ExactSampler struct {
 	dp []*big.Int
 }
 
-// NewExactSampler precomputes the completion-count table. It returns
-// ErrInfeasible when the graph has no perfect matching.
-func NewExactSampler(e *Explicit) (*ExactSampler, error) {
-	return NewExactSamplerCtx(context.Background(), e)
-}
-
-// NewExactSamplerCtx is NewExactSampler under a work budget: one operation
-// per dp entry, so building the O(2^n) table — the single most expensive
-// allocation in the exact tier — respects deadlines and operation limits.
+// NewExactSamplerCtx precomputes the completion-count table. It returns
+// ErrInfeasible when the graph has no perfect matching. One operation is
+// charged per dp entry, so building the O(2^n) table — the single most
+// expensive allocation in the exact tier — respects deadlines and operation
+// limits.
 func NewExactSamplerCtx(ctx context.Context, e *Explicit) (*ExactSampler, error) {
 	if e.N > MaxExactTableN {
 		return nil, fmt.Errorf("bipartite: exact sampling needs n <= %d, got %d", MaxExactTableN, e.N)
@@ -41,7 +37,7 @@ func NewExactSamplerCtx(ctx context.Context, e *Explicit) (*ExactSampler, error)
 	n := e.N
 	size := 1 << uint(n)
 	// dp[s] = matchings of the first popcount(s) left vertices onto exactly
-	// the right-subset s (identical to CountPerfectMatchings' table).
+	// the right-subset s (identical to countPerfectMatchings' table).
 	dp := make([]*big.Int, size)
 	dp[0] = big.NewInt(1)
 	for s := 1; s < size; s++ {

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,11 +12,11 @@ func TestExactSamplerCountMatches(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(6)
 		e := RandomExplicit(n, 0.5, rng)
-		want, err := e.CountPerfectMatchings()
+		want, err := e.CountPerfectMatchingsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewExactSampler(e)
+		s, err := NewExactSamplerCtx(context.Background(), e)
 		if want.Sign() == 0 {
 			if err != ErrInfeasible {
 				t.Fatalf("trial %d: want ErrInfeasible, got %v", trial, err)
@@ -29,7 +30,7 @@ func TestExactSamplerCountMatches(t *testing.T) {
 			t.Fatalf("trial %d: Count %v, want %v", trial, s.Count(), want)
 		}
 	}
-	if _, err := NewExactSampler(Complete(MaxExactN + 1)); err == nil {
+	if _, err := NewExactSamplerCtx(context.Background(), Complete(MaxExactN+1)); err == nil {
 		t.Error("oversized graph: want error")
 	}
 }
@@ -37,7 +38,7 @@ func TestExactSamplerCountMatches(t *testing.T) {
 func TestExactSamplerValidMatchings(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	e := RandomExplicit(7, 0.4, rng)
-	s, err := NewExactSampler(e)
+	s, err := NewExactSamplerCtx(context.Background(), e)
 	if err != nil {
 		t.Skip("random graph infeasible for this seed")
 	}
@@ -60,7 +61,7 @@ func TestExactSamplerUniform(t *testing.T) {
 	e := MustExplicit(4, [][]int{{0, 1, 2}, {0, 1, 3}, {1, 2, 3}, {0, 2, 3}})
 	var keys []string
 	index := map[string]int{}
-	if err := e.EnumeratePerfectMatchings(0, func(m []int) {
+	if err := e.EnumeratePerfectMatchingsCtx(context.Background(), 0, func(m []int) {
 		k := matchKey(m)
 		index[k] = len(keys)
 		keys = append(keys, k)
@@ -70,7 +71,7 @@ func TestExactSamplerUniform(t *testing.T) {
 	if len(keys) < 4 {
 		t.Fatalf("test graph too rigid: %d matchings", len(keys))
 	}
-	s, err := NewExactSampler(e)
+	s, err := NewExactSamplerCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestExactSamplerCrackExpectation(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 4 + rng.Intn(4)
 		e := RandomExplicit(n, 0.5, rng)
-		s, err := NewExactSampler(e)
+		s, err := NewExactSamplerCtx(context.Background(), e)
 		if err != nil {
 			continue
 		}
-		probs, err := e.EdgeInclusionProbability()
+		probs, err := e.EdgeInclusionProbabilityCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

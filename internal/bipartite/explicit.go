@@ -173,16 +173,10 @@ func RandomExplicit(n int, p float64, rng *rand.Rand) *Explicit {
 	return e
 }
 
-// MaximumMatching computes a maximum matching via the Hopcroft–Karp
+// MaximumMatchingCtx computes a maximum matching via the Hopcroft–Karp
 // algorithm, returning (size, matchL, matchR) where matchL[w] is the item
-// matched to anonymized item w (or -1) and matchR[x] the reverse.
-func (e *Explicit) MaximumMatching() (int, []int, []int) {
-	size, matchL, matchR, _ := e.MaximumMatchingCtx(context.Background())
-	return size, matchL, matchR
-}
-
-// MaximumMatchingCtx is MaximumMatching under a work budget, charging one
-// phase's worth of edge scans per Hopcroft–Karp phase (there are at most
+// matched to anonymized item w (or -1) and matchR[x] the reverse. It charges
+// one phase's worth of edge scans per Hopcroft–Karp phase (there are at most
 // O(√n) of them, but each touches every edge).
 func (e *Explicit) MaximumMatchingCtx(ctx context.Context) (int, []int, []int, error) {
 	const inf = int(^uint(0) >> 1)
@@ -254,8 +248,9 @@ func (e *Explicit) MaximumMatchingCtx(ctx context.Context) (int, []int, []int, e
 	return size, matchL, matchR, nil
 }
 
-// HasPerfectMatching reports whether a perfect matching exists.
-func (e *Explicit) HasPerfectMatching() bool {
-	size, _, _ := e.MaximumMatching()
-	return size == e.N
+// HasPerfectMatching reports whether a perfect matching exists. A budget
+// error is returned as is, never read as "no".
+func (e *Explicit) HasPerfectMatching(ctx context.Context) (bool, error) {
+	size, _, _, err := e.MaximumMatchingCtx(ctx)
+	return size == e.N && err == nil, err
 }

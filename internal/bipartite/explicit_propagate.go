@@ -9,18 +9,13 @@ import (
 	"repro/internal/budget"
 )
 
-// Propagate runs the degree-1 propagation of Figure 7 on an explicit graph:
-// any vertex (on either side) with exactly one remaining neighbour has its
-// edge in every perfect matching; the pair is removed and degrees updated, to
-// a fixed point. It mirrors Graph.Propagate for graphs that are not
-// interval-structured — e.g. the relational consistency graphs of
+// PropagateCtx runs the degree-1 propagation of Figure 7 on an explicit
+// graph: any vertex (on either side) with exactly one remaining neighbour has
+// its edge in every perfect matching; the pair is removed and degrees
+// updated, to a fixed point. It mirrors Graph.PropagateCtx for graphs that
+// are not interval-structured — e.g. the relational consistency graphs of
 // Section 8.1. ErrInfeasible is returned when a vertex runs out of
-// neighbours (or starts with none).
-func (e *Explicit) Propagate() (*Propagation, error) {
-	return e.PropagateCtx(context.Background())
-}
-
-// PropagateCtx is Propagate under a work budget: one operation per worklist
+// neighbours (or starts with none). One operation is charged per worklist
 // pop, so a pathological cascade over a dense explicit graph can be cut off
 // by a deadline or op limit.
 //

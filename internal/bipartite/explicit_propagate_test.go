@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestExplicitPropagateStaircase(t *testing.T) {
 	// Figure 6(a) as an explicit graph: full cascade.
 	e := MustExplicit(4, [][]int{{0, 1, 2, 3}, {1, 2, 3}, {2, 3}, {3}})
-	p, err := e.Propagate()
+	p, err := e.PropagateCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +22,7 @@ func TestExplicitPropagateStaircase(t *testing.T) {
 }
 
 func TestExplicitPropagateNoOp(t *testing.T) {
-	p, err := Complete(4).Propagate()
+	p, err := Complete(4).PropagateCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +39,12 @@ func TestExplicitPropagateNoOp(t *testing.T) {
 func TestExplicitPropagateInfeasible(t *testing.T) {
 	// Two left vertices share a single right vertex.
 	e := MustExplicit(2, [][]int{{1}, {1}})
-	if _, err := e.Propagate(); err != ErrInfeasible {
+	if _, err := e.PropagateCtx(context.Background()); err != ErrInfeasible {
 		t.Errorf("Propagate = %v, want ErrInfeasible", err)
 	}
 	// A left vertex with no edges at all.
 	e2 := MustExplicit(2, [][]int{{}, {0, 1}})
-	if _, err := e2.Propagate(); err != ErrInfeasible {
+	if _, err := e2.PropagateCtx(context.Background()); err != ErrInfeasible {
 		t.Errorf("empty row: Propagate = %v, want ErrInfeasible", err)
 	}
 }
@@ -61,12 +62,12 @@ func TestExplicitPropagateForcedEdgesInEveryMatching(t *testing.T) {
 			}
 		}
 		var matchings [][]int
-		if err := e.EnumeratePerfectMatchings(100000, func(m []int) {
+		if err := e.EnumeratePerfectMatchingsCtx(context.Background(), 100000, func(m []int) {
 			matchings = append(matchings, append([]int(nil), m...))
 		}); err != nil {
 			t.Fatal(err)
 		}
-		p, err := e.Propagate()
+		p, err := e.PropagateCtx(context.Background())
 		if len(matchings) == 0 {
 			// Infeasible graph: propagation may or may not detect it, but a
 			// successful run must not force non-edges.
@@ -117,8 +118,8 @@ func TestExplicitPropagateMatchesCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 100; trial++ {
 		g := randomCompactGraph(t, rng, 2+rng.Intn(8))
-		pc, errC := g.Propagate()
-		pe, errE := g.ToExplicit().Propagate()
+		pc, errC := g.PropagateCtx(context.Background())
+		pe, errE := g.ToExplicit().PropagateCtx(context.Background())
 		if (errC == nil) != (errE == nil) {
 			// The two detectors differ in completeness; both are sound, so
 			// only flag the case where one *succeeds* and forces a non-edge.

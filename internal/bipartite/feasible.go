@@ -3,6 +3,7 @@ package bipartite
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -26,23 +27,18 @@ func (h *itemHeap) Pop() interface{} {
 	return v
 }
 
-// PerfectMatching returns a consistent perfect matching as a slice mapping
-// each item x to the anonymized item assigned to it, or ErrInfeasible when
-// none exists. Because every item's candidates form a contiguous range of
-// frequency groups, the classic earliest-deadline greedy is exact here:
-// process groups in ascending order and serve each with the available items
-// whose ranges end soonest.
+// PerfectMatchingCtx returns a consistent perfect matching as a slice
+// mapping each item x to the anonymized item assigned to it, or
+// ErrInfeasible when none exists. Because every item's candidates form a
+// contiguous range of frequency groups, the classic earliest-deadline greedy
+// is exact here: process groups in ascending order and serve each with the
+// available items whose ranges end soonest.
 //
 // The matching produced is deterministic; use it as a seed for the MCMC
 // sampler when the identity matching is inconsistent (α < 1 belief
-// functions).
-func (g *Graph) PerfectMatching() ([]int, error) {
-	return g.PerfectMatchingCtx(context.Background())
-}
-
-// PerfectMatchingCtx is PerfectMatching under a work budget: one operation
-// per heap push/pop, so the O(n log n) greedy respects deadlines when n is
-// web-scale even though it never does superlinear work.
+// functions). One operation is charged per heap push/pop, so the
+// O(n log n) greedy respects deadlines when n is web-scale even though it
+// never does superlinear work.
 func (g *Graph) PerfectMatchingCtx(ctx context.Context) ([]int, error) {
 	n := g.Items()
 	k := g.NumGroups()
@@ -94,10 +90,14 @@ func (g *Graph) PerfectMatchingCtx(ctx context.Context) ([]int, error) {
 	return match, nil
 }
 
-// Feasible reports whether a consistent perfect matching exists.
-func (g *Graph) Feasible() bool {
-	_, err := g.PerfectMatching()
-	return err == nil
+// Feasible reports whether a consistent perfect matching exists. A budget
+// error is returned as is, never read as infeasible.
+func (g *Graph) Feasible(ctx context.Context) (bool, error) {
+	_, err := g.PerfectMatchingCtx(ctx)
+	if errors.Is(err, ErrInfeasible) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // IdentityMatching returns the matching that maps every anonymized item to

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -128,10 +129,10 @@ func TestNonCompliantEmptyRange(t *testing.T) {
 	if g.Compliant(0) {
 		t.Error("item 0 should be non-compliant")
 	}
-	if g.Feasible() {
-		t.Error("graph with a degree-0 item cannot have a perfect matching")
+	if ok, err := g.Feasible(context.Background()); ok || err != nil {
+		t.Errorf("Feasible = %v, %v; a graph with a degree-0 item cannot have a perfect matching", ok, err)
 	}
-	if _, err := g.Propagate(); err != ErrInfeasible {
+	if _, err := g.PropagateCtx(context.Background()); err != ErrInfeasible {
 		t.Errorf("Propagate = %v, want ErrInfeasible", err)
 	}
 }
@@ -338,8 +339,11 @@ func TestPerfectMatchingGreedyAgainstHopcroftKarp(t *testing.T) {
 			ivs[i] = belief.Interval{Lo: a, Hi: b}
 		}
 		g := buildGraph(t, belief.MustNew(ivs), ft)
-		match, err := g.PerfectMatching()
-		want := g.ToExplicit().HasPerfectMatching()
+		match, err := g.PerfectMatchingCtx(context.Background())
+		want, herr := g.ToExplicit().HasPerfectMatching(context.Background())
+		if herr != nil {
+			t.Fatal(herr)
+		}
 		if (err == nil) != want {
 			t.Fatalf("trial %d: greedy feasibility %v, Hopcroft-Karp %v", trial, err == nil, want)
 		}

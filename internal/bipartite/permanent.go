@@ -21,15 +21,10 @@ const MaxExactN = 30
 // O(n)-memory Ryser counting continues to n = MaxExactN.
 const MaxExactTableN = 24
 
-// CountPerfectMatchings returns the number of perfect matchings of the graph
-// — the permanent of its biadjacency matrix — computed exactly by Ryser's
-// formula with Gray-code subset updates (ryser.go). It returns an error when
-// e.N > MaxExactN.
-func (e *Explicit) CountPerfectMatchings() (*big.Int, error) {
-	return e.CountPerfectMatchingsCtx(context.Background())
-}
-
-// CountPerfectMatchingsCtx is CountPerfectMatchings under a work budget: the
+// CountPerfectMatchingsCtx returns the number of perfect matchings of the
+// graph — the permanent of its biadjacency matrix, the direct method of
+// Section 4.1 — computed exactly by Ryser's formula with Gray-code subset
+// updates (ryser.go). It returns an error when e.N > MaxExactN. The
 // context's deadline and any budget.WithMaxOps operation limit are checked
 // once per budget window of Gray-code steps, so cancellation aborts the
 // exponential computation promptly instead of hanging a serving process.
@@ -44,28 +39,19 @@ func (e *Explicit) CountPerfectMatchingsCtx(ctx context.Context) (*big.Int, erro
 	return e.countPerfectMatchingsRyser(bud, nil)
 }
 
-// Permanent is an alias for CountPerfectMatchings, matching the paper's
-// terminology for the direct method of Section 4.1.
-func (e *Explicit) Permanent() (*big.Int, error) { return e.CountPerfectMatchings() }
-
-// EdgeInclusionProbability returns, for each edge (w′, x), the probability
-// that a uniformly random perfect matching contains it:
+// EdgeInclusionProbabilityCtx returns, for each edge (w′, x), the
+// probability that a uniformly random perfect matching contains it:
 // perm(minor(w, x)) / perm(A). Entries for absent edges are 0. It returns an
 // error if the graph is too large or admits no perfect matching.
 //
 // One subset-DP per left vertex suffices: fixing w′ ↦ x means matching the
 // remaining left vertices to the remaining right vertices, so all minors that
-// share the removed left vertex come from a single DP table.
-func (e *Explicit) EdgeInclusionProbability() ([][]float64, error) {
-	return e.EdgeInclusionProbabilityCtx(context.Background())
-}
-
-// EdgeInclusionProbabilityCtx is EdgeInclusionProbability under a work
-// budget. The n+1 subset DPs it runs share one budget, so an operation limit
-// bounds the whole computation, not each table. Because each DP materializes
-// a 2^n table, n is capped at MaxExactTableN, tighter than the MaxExactN the
-// table-free counting routines accept; callers that only need the diagonal
-// should use DiagonalMatchingCountsCtx, which runs to MaxExactN.
+// share the removed left vertex come from a single DP table. The n+1 subset
+// DPs share one budget, so an operation limit bounds the whole computation,
+// not each table. Because each DP materializes a 2^n table, n is capped at
+// MaxExactTableN, tighter than the MaxExactN the table-free counting
+// routines accept; callers that only need the diagonal should use
+// DiagonalMatchingCountsCtx, which runs to MaxExactN.
 func (e *Explicit) EdgeInclusionProbabilityCtx(ctx context.Context) ([][]float64, error) {
 	if e.N > MaxExactTableN {
 		return nil, fmt.Errorf("bipartite: exact count needs n <= %d, got %d", MaxExactTableN, e.N)
@@ -173,18 +159,13 @@ func (e *Explicit) matchingCountsFixingLeft(w int, bud *budget.Budget) ([]*big.I
 	return out, nil
 }
 
-// EnumeratePerfectMatchings calls visit for every perfect matching, passing
-// the matching as match[w] = x. The slice is reused; visit must copy it to
-// retain it. Enumeration explodes combinatorially; an error is returned when
-// the matching count exceeds maxCount (pass 0 for a default of 10_000_000).
-func (e *Explicit) EnumeratePerfectMatchings(maxCount int, visit func(match []int)) error {
-	return e.EnumeratePerfectMatchingsCtx(context.Background(), maxCount, visit)
-}
-
-// EnumeratePerfectMatchingsCtx is EnumeratePerfectMatchings under a work
-// budget: one operation is charged per branch of the backtracking search, so
-// cancellation aborts within one budget window even when the graph admits no
-// early matchings at all.
+// EnumeratePerfectMatchingsCtx calls visit for every perfect matching,
+// passing the matching as match[w] = x. The slice is reused; visit must copy
+// it to retain it. Enumeration explodes combinatorially; an error is returned
+// when the matching count exceeds maxCount (pass 0 for a default of
+// 10_000_000). One operation is charged per branch of the backtracking
+// search, so cancellation aborts within one budget window even when the graph
+// admits no early matchings at all.
 func (e *Explicit) EnumeratePerfectMatchingsCtx(ctx context.Context, maxCount int, visit func(match []int)) error {
 	if maxCount <= 0 {
 		maxCount = 10_000_000

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"math/rand"
@@ -17,7 +18,7 @@ func factorial(n int) *big.Int {
 
 func TestCountPerfectMatchingsComplete(t *testing.T) {
 	for n := 1; n <= 8; n++ {
-		got, err := Complete(n).CountPerfectMatchings()
+		got, err := Complete(n).CountPerfectMatchingsCtx(context.Background())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -29,7 +30,7 @@ func TestCountPerfectMatchingsComplete(t *testing.T) {
 
 func TestCountPerfectMatchingsIdentityAndEmpty(t *testing.T) {
 	id := MustExplicit(4, [][]int{{0}, {1}, {2}, {3}})
-	got, err := id.CountPerfectMatchings()
+	got, err := id.CountPerfectMatchingsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestCountPerfectMatchingsIdentityAndEmpty(t *testing.T) {
 		t.Errorf("perm(identity) = %v, want 1", got)
 	}
 	empty := MustExplicit(3, [][]int{{}, {}, {}})
-	got, err = empty.CountPerfectMatchings()
+	got, err = empty.CountPerfectMatchingsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestCountPerfectMatchingsIdentityAndEmpty(t *testing.T) {
 }
 
 func TestCountPerfectMatchingsTooLarge(t *testing.T) {
-	if _, err := Complete(MaxExactN + 1).CountPerfectMatchings(); err == nil {
+	if _, err := Complete(MaxExactN + 1).CountPerfectMatchingsCtx(context.Background()); err == nil {
 		t.Error("want error for n > MaxExactN")
 	}
 }
@@ -58,10 +59,10 @@ func TestCountMatchesEnumeration(t *testing.T) {
 		n := 1 + rng.Intn(6)
 		e := RandomExplicit(n, rng.Float64(), rng)
 		count := 0
-		if err := e.EnumeratePerfectMatchings(0, func([]int) { count++ }); err != nil {
+		if err := e.EnumeratePerfectMatchingsCtx(context.Background(), 0, func([]int) { count++ }); err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.CountPerfectMatchings()
+		got, err := e.CountPerfectMatchingsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func TestCountMatchesEnumeration(t *testing.T) {
 }
 
 func TestEnumerationRespectsMaxCount(t *testing.T) {
-	if err := Complete(6).EnumeratePerfectMatchings(10, func([]int) {}); err == nil {
+	if err := Complete(6).EnumeratePerfectMatchingsCtx(context.Background(), 10, func([]int) {}); err == nil {
 		t.Error("want error when matchings exceed maxCount")
 	}
 }
@@ -80,7 +81,7 @@ func TestEnumerationRespectsMaxCount(t *testing.T) {
 func TestEdgeInclusionComplete(t *testing.T) {
 	// On K_n every edge is in a fraction 1/n of matchings.
 	n := 5
-	probs, err := Complete(n).EdgeInclusionProbability()
+	probs, err := Complete(n).EdgeInclusionProbabilityCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +99,14 @@ func TestEdgeInclusionFigure6b(t *testing.T) {
 	// (2',3). There are 4 matchings; (2',3) is in none; diagonal edges are in
 	// half each, so the exact expected number of cracks is 2.
 	e := MustExplicit(4, [][]int{{0, 1}, {0, 1, 2}, {2, 3}, {2, 3}})
-	total, err := e.CountPerfectMatchings()
+	total, err := e.CountPerfectMatchingsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total.Int64() != 4 {
 		t.Fatalf("matchings = %v, want 4", total)
 	}
-	probs, err := e.EdgeInclusionProbability()
+	probs, err := e.EdgeInclusionProbabilityCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +127,14 @@ func TestEdgeInclusionMatchesMinors(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(5)
 		e := RandomExplicit(n, 0.5, rng)
-		total, err := e.CountPerfectMatchings()
+		total, err := e.CountPerfectMatchingsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if total.Sign() == 0 {
 			continue
 		}
-		probs, err := e.EdgeInclusionProbability()
+		probs, err := e.EdgeInclusionProbabilityCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestEdgeInclusionMatchesMinors(t *testing.T) {
 			for x := 0; x < n; x++ {
 				var want float64
 				if e.HasEdge(w, x) {
-					mc, err := e.Minor(w, x).CountPerfectMatchings()
+					mc, err := e.Minor(w, x).CountPerfectMatchingsCtx(context.Background())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -158,8 +159,8 @@ func TestEdgeInclusionMatchesMinors(t *testing.T) {
 
 func TestEdgeInclusionInfeasible(t *testing.T) {
 	e := MustExplicit(2, [][]int{{1}, {1}})
-	if _, err := e.EdgeInclusionProbability(); err != ErrInfeasible {
-		t.Errorf("EdgeInclusionProbability = %v, want ErrInfeasible", err)
+	if _, err := e.EdgeInclusionProbabilityCtx(context.Background()); err != ErrInfeasible {
+		t.Errorf("EdgeInclusionProbabilityCtx = %v, want ErrInfeasible", err)
 	}
 }
 
@@ -194,14 +195,21 @@ func TestHopcroftKarpAgainstEnumeration(t *testing.T) {
 				e.Adj[w] = e.Adj[w][:len(e.Adj[w])-1]
 			}
 		}
-		count, err := e.CountPerfectMatchings()
+		count, err := e.CountPerfectMatchingsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.HasPerfectMatching(); got != (count.Sign() > 0) {
+		got, err := e.HasPerfectMatching(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != (count.Sign() > 0) {
 			t.Fatalf("trial %d: HasPerfectMatching = %v, permanent = %v", trial, got, count)
 		}
-		size, mL, mR := e.MaximumMatching()
+		size, mL, mR, err := e.MaximumMatchingCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Validate matching consistency.
 		seen := 0
 		for w := 0; w < n; w++ {
@@ -223,12 +231,15 @@ func TestRasmussenUnbiased(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 3 + rng.Intn(4)
 		e := RandomExplicit(n, 0.6, rng)
-		exact, err := e.CountPerfectMatchings()
+		exact, err := e.CountPerfectMatchingsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, _ := new(big.Float).SetInt(exact).Float64()
-		got := RasmussenEstimate(e, 60000, rng)
+		got, err := RasmussenEstimateCtx(context.Background(), e, 60000, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tol := 0.15*want + 0.5
 		if math.Abs(got-want) > tol {
 			t.Errorf("trial %d (n=%d): Rasmussen = %v, exact = %v", trial, n, got, want)

@@ -38,24 +38,21 @@ func (p *Propagation) ForcedCracks() int {
 	return c
 }
 
-// Propagate runs the degree-1 propagation of Figure 7: whenever an item can
-// be mapped to by exactly one remaining anonymized item — or an anonymized
-// item has exactly one remaining candidate — that edge belongs to every
-// perfect matching, so both endpoints are removed and degrees recomputed, to
-// a fixed point. The paper notes the worst case takes v iterations (the
-// cascade of Figure 6(a)) but that in practice a few rounds suffice.
+// PropagateCtx runs the degree-1 propagation of Figure 7: whenever an item
+// can be mapped to by exactly one remaining anonymized item — or an
+// anonymized item has exactly one remaining candidate — that edge belongs to
+// every perfect matching, so both endpoints are removed and degrees
+// recomputed, to a fixed point. The paper notes the worst case takes v
+// iterations (the cascade of Figure 6(a)) but that in practice a few rounds
+// suffice.
 //
 // The graph itself is not modified. ErrInfeasible is reported when a degree
 // reaches 0 or a group has fewer covering items than members — situations
-// that can arise with α-compliant (partially wrong) belief functions.
-func (g *Graph) Propagate() (*Propagation, error) {
-	return g.PropagateCtx(context.Background())
-}
-
-// PropagateCtx is Propagate under a work budget: one operation per item (or
-// group) examined per round, so the Figure 6(a) worst case — v rounds each
-// touching v items — can be interrupted by a deadline or operation limit
-// instead of running quadratically to completion.
+// that can arise with α-compliant (partially wrong) belief functions. One
+// operation is charged per item (or group) examined per round, so the
+// Figure 6(a) worst case — v rounds each touching v items — can be
+// interrupted by a deadline or operation limit instead of running
+// quadratically to completion.
 func (g *Graph) PropagateCtx(ctx context.Context) (*Propagation, error) {
 	n := g.Items()
 	k := g.NumGroups()

@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestPropagateFigure6a(t *testing.T) {
 			t.Fatalf("pre-propagation Outdegree(%d) = %d, want %d", x, got, w)
 		}
 	}
-	p, err := g.Propagate()
+	p, err := g.PropagateCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Propagate: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestPropagateFigure6a(t *testing.T) {
 func TestPropagateCascadeDepth(t *testing.T) {
 	// The n-item staircase needs a full cascade; make sure a long one works.
 	g := staircase(t, 200)
-	p, err := g.Propagate()
+	p, err := g.PropagateCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Propagate: %v", err)
 	}
@@ -82,7 +83,7 @@ func TestPropagateNoOpOnPointValued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := g.Propagate()
+	p, err := g.PropagateCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Propagate: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestPropagateSingletons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := g.Propagate()
+	p, err := g.PropagateCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Propagate: %v", err)
 	}
@@ -150,12 +151,16 @@ func TestPropagateForcedEdgesAreInEveryMatching(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := g.ToExplicit()
-		if !e.HasPerfectMatching() {
+		has, err := e.HasPerfectMatching(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !has {
 			// Propagation must not claim success with forced edges that
 			// complete a matching; it may or may not detect infeasibility
 			// (it is a sound but incomplete test), so just require that IF
 			// it succeeds, it never forces a non-edge.
-			if p, err := g.Propagate(); err == nil {
+			if p, err := g.PropagateCtx(context.Background()); err == nil {
 				for _, fp := range p.Forced {
 					if !g.HasEdge(fp.Anon, fp.Item) {
 						t.Fatalf("trial %d: forced non-edge %+v", trial, fp)
@@ -164,14 +169,14 @@ func TestPropagateForcedEdgesAreInEveryMatching(t *testing.T) {
 			}
 			continue
 		}
-		p, err := g.Propagate()
+		p, err := g.PropagateCtx(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: Propagate failed on feasible graph: %v", trial, err)
 		}
 		tested++
 		// Collect all perfect matchings.
 		var matchings [][]int
-		if err := e.EnumeratePerfectMatchings(100000, func(mt []int) {
+		if err := e.EnumeratePerfectMatchingsCtx(context.Background(), 100000, func(mt []int) {
 			matchings = append(matchings, append([]int(nil), mt...))
 		}); err != nil {
 			t.Fatal(err)
@@ -222,10 +227,10 @@ func TestPropagateInfeasibleGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Feasible() {
-		t.Fatal("graph should be infeasible")
+	if ok, err := g.Feasible(context.Background()); ok || err != nil {
+		t.Fatalf("Feasible = %v, %v; graph should be infeasible", ok, err)
 	}
-	if _, err := g.Propagate(); err != ErrInfeasible {
+	if _, err := g.PropagateCtx(context.Background()); err != ErrInfeasible {
 		t.Errorf("Propagate = %v, want ErrInfeasible", err)
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"repro/internal/budget"
 )
 
-// RasmussenEstimate runs Rasmussen's simple unbiased randomized estimator for
-// the permanent of a 0/1 matrix (Random Structures and Algorithms, 1994 —
+// RasmussenEstimateCtx runs Rasmussen's simple unbiased randomized estimator
+// for the permanent of a 0/1 matrix (Random Structures and Algorithms, 1994 —
 // reference [21] of the paper) and returns the mean of `runs` independent
 // estimates.
 //
@@ -19,15 +19,11 @@ import (
 // approximation schemes as impractical (the Jerrum–Sinclair–Vigoda FPRAS runs
 // in ~O(n²²)); this estimator is included so that the comparison with the
 // O-estimate can be reproduced.
-func RasmussenEstimate(e *Explicit, runs int, rng *rand.Rand) float64 {
-	v, _ := RasmussenEstimateCtx(context.Background(), e, runs, rng)
-	return v
-}
-
-// RasmussenEstimateCtx is RasmussenEstimate under a work budget: one
-// operation per scanned row, checked once per budget window. On exhaustion
-// it returns the mean over the runs completed so far together with the
-// budget error, so callers can keep the partial estimate when degrading.
+//
+// One operation is charged per scanned row, checked once per budget window.
+// On exhaustion it returns the mean over the runs completed so far together
+// with the budget error, so callers can keep the partial estimate when
+// degrading.
 func RasmussenEstimateCtx(ctx context.Context, e *Explicit, runs int, rng *rand.Rand) (float64, error) {
 	if runs <= 0 {
 		runs = 1

@@ -184,19 +184,14 @@ func (e *Explicit) ryserWords(bud *budget.Budget, sc *ryserScratch) ([4]uint64, 
 	return diff, nil
 }
 
-// DiagonalMatchingCounts returns perm(A) and, for each item x whose
+// DiagonalMatchingCountsCtx returns perm(A) and, for each item x whose
 // diagonal edge (x′, x) exists, perm(minor(x, x)) — the numerators of the
 // exact expected-crack sum of Section 4.1. Entries for absent diagonal
-// edges are nil.
-func (e *Explicit) DiagonalMatchingCounts() (total *big.Int, diag []*big.Int, err error) {
-	return e.DiagonalMatchingCountsCtx(context.Background())
-}
-
-// DiagonalMatchingCountsCtx is DiagonalMatchingCounts under a work budget.
-// The n+1 Gray-code Ryser passes share one budget (and one scratch), so an
-// operation limit bounds the whole computation, and the O(n) memory — no
-// 2^n DP table — is what lets the exact tier reach n = MaxExactN.
-// ErrInfeasible is returned when the graph has no perfect matching.
+// edges are nil. The n+1 Gray-code Ryser passes share one budget (and one
+// scratch), so an operation limit bounds the whole computation, and the
+// O(n) memory — no 2^n DP table — is what lets the exact tier reach
+// n = MaxExactN. ErrInfeasible is returned when the graph has no perfect
+// matching.
 func (e *Explicit) DiagonalMatchingCountsCtx(ctx context.Context) (total *big.Int, diag []*big.Int, err error) {
 	if e.N > MaxExactN {
 		return nil, nil, fmt.Errorf("bipartite: exact count needs n <= %d, got %d", MaxExactN, e.N)

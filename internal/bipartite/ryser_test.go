@@ -111,7 +111,7 @@ func TestRyserMatchesDPShapes(t *testing.T) {
 	for k := int64(2); k <= int64(n); k++ {
 		want.Mul(want, big.NewInt(k))
 	}
-	got, err := MustExplicit(n, adj).CountPerfectMatchings()
+	got, err := MustExplicit(n, adj).CountPerfectMatchingsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 	"repro/internal/bipartite"
 )
 
-// ExactExpectedCracks computes the exact expected number of cracks of the
-// direct method (Section 4.1), assuming each perfect matching of the graph is
-// equally likely:
+// ExactExpectedCracksCtx computes the exact expected number of cracks of
+// the direct method (Section 4.1), assuming each perfect matching of the
+// graph is equally likely:
 //
 //	E(X) = Σ_x P((x′, x) in a uniform matching)
 //	     = Σ_x perm(minor(x′, x)) / perm(A_G).
@@ -18,15 +18,10 @@ import (
 // This is mathematically equal to the paper's Σ_k k·P(X = k) expansion over
 // subsets but needs only n permanent-style DPs instead of Σ_k (n choose k).
 // Counting permanents is #P-complete, so the graph must satisfy
-// n ≤ bipartite.MaxExactN.
-func ExactExpectedCracks(e *bipartite.Explicit) (float64, error) {
-	return ExactExpectedCracksCtx(context.Background(), e)
-}
-
-// ExactExpectedCracksCtx is ExactExpectedCracks under a work budget: the
-// context's deadline and operation limit bound the n+1 Gray-code Ryser
-// passes, so the #P-complete direct method can be attempted speculatively
-// and abandoned (budget.ErrBudgetExceeded) by a degradation cascade.
+// n ≤ bipartite.MaxExactN. The context's deadline and operation limit bound
+// the n+1 Gray-code Ryser passes, so the #P-complete direct method can be
+// attempted speculatively and abandoned (budget.ErrBudgetExceeded) by a
+// degradation cascade.
 //
 // Only the diagonal of the edge-inclusion matrix enters the sum, so the
 // permanents come from bipartite.DiagonalMatchingCountsCtx — O(n) memory,
@@ -49,17 +44,11 @@ func ExactExpectedCracksCtx(ctx context.Context, e *bipartite.Explicit) (float64
 	return exp, nil
 }
 
-// CrackDistribution returns the exact distribution P(X = k), k = 0..n, of the
-// number of cracks in a uniformly random perfect matching, by exhaustive
-// enumeration. Exponential in n; intended for worked examples and for
-// validating the closed forms.
-func CrackDistribution(e *bipartite.Explicit) ([]float64, error) {
-	return CrackDistributionCtx(context.Background(), e)
-}
-
-// CrackDistributionCtx is CrackDistribution under a work budget, aborting
-// the exhaustive enumeration when the context's deadline or operation limit
-// runs out.
+// CrackDistributionCtx returns the exact distribution P(X = k), k = 0..n, of
+// the number of cracks in a uniformly random perfect matching, by exhaustive
+// enumeration, aborting when the context's deadline or operation limit runs
+// out. Exponential in n; intended for worked examples and for validating the
+// closed forms.
 func CrackDistributionCtx(ctx context.Context, e *bipartite.Explicit) ([]float64, error) {
 	hist := make([]int, e.N+1)
 	total := 0
@@ -95,11 +84,11 @@ func CrackDistributionCtx(ctx context.Context, e *bipartite.Explicit) ([]float64
 // matched as cracks) and, for every remaining y, the diagonal edge (y′, y)
 // (no further cracks allowed). The subset sum makes it exponentially more
 // expensive than enumeration; it exists to validate the formula itself.
-func CrackDistributionDirect(e *bipartite.Explicit, k int) (float64, error) {
+func CrackDistributionDirect(ctx context.Context, e *bipartite.Explicit, k int) (float64, error) {
 	if k < 0 || k > e.N {
 		return 0, fmt.Errorf("core: crack count %d outside [0,%d]", k, e.N)
 	}
-	total, err := e.CountPerfectMatchings()
+	total, err := e.CountPerfectMatchingsCtx(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -111,7 +100,7 @@ func CrackDistributionDirect(e *bipartite.Explicit, k int) (float64, error) {
 	var rec func(start, depth int) error
 	rec = func(start, depth int) error {
 		if depth == k {
-			c, err := restrictedCount(e, subset)
+			c, err := restrictedCount(ctx, e, subset)
 			if err != nil {
 				return err
 			}
@@ -136,7 +125,7 @@ func CrackDistributionDirect(e *bipartite.Explicit, k int) (float64, error) {
 
 // restrictedCount counts the perfect matchings of G(S): vertices of S matched
 // diagonally and removed, all remaining diagonal edges deleted.
-func restrictedCount(e *bipartite.Explicit, S []int) (*big.Int, error) {
+func restrictedCount(ctx context.Context, e *bipartite.Explicit, S []int) (*big.Int, error) {
 	inS := make([]bool, e.N)
 	for _, x := range S {
 		if !e.HasEdge(x, x) {
@@ -158,7 +147,7 @@ func restrictedCount(e *bipartite.Explicit, S []int) (*big.Int, error) {
 		return big.NewInt(1), nil
 	}
 	adj := make([][]int, m)
-	//lint:allow loopbudget linear minor construction feeding CountPerfectMatchings, which budgets the exponential part
+	//lint:allow loopbudget linear minor construction feeding CountPerfectMatchingsCtx, which budgets the exponential part
 	for w := 0; w < e.N; w++ {
 		if inS[w] {
 			continue
@@ -174,5 +163,5 @@ func restrictedCount(e *bipartite.Explicit, S []int) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sub.CountPerfectMatchings()
+	return sub.CountPerfectMatchingsCtx(ctx)
 }

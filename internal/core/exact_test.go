@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func TestExactExpectedCracksComplete(t *testing.T) {
 	// Lemma 1 via the direct method: complete graph -> E(X) = 1.
 	for n := 1; n <= 7; n++ {
-		got, err := ExactExpectedCracks(bipartite.Complete(n))
+		got, err := ExactExpectedCracksCtx(context.Background(), bipartite.Complete(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func TestExactExpectedCracksPointValuedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExactExpectedCracks(g.ToExplicit())
+	got, err := ExactExpectedCracksCtx(context.Background(), g.ToExplicit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestChainExactMatchesPermanents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := ExactExpectedCracks(g.ToExplicit())
+		exact, err := ExactExpectedCracksCtx(context.Background(), g.ToExplicit())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestFigure4aExactViaPermanents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExactExpectedCracks(g.ToExplicit())
+	got, err := ExactExpectedCracksCtx(context.Background(), g.ToExplicit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestFigure4aExactViaPermanents(t *testing.T) {
 
 func TestCrackDistributionComplete(t *testing.T) {
 	// On K_3, P(X=k) follows derangement counts: P(0)=2/6, P(1)=3/6, P(3)=1/6.
-	dist, err := CrackDistribution(bipartite.Complete(3))
+	dist, err := CrackDistributionCtx(context.Background(), bipartite.Complete(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +121,12 @@ func TestCrackDistributionDirectMatchesEnumeration(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(4)
 		e := bipartite.RandomExplicit(n, 0.6, rng)
-		dist, err := CrackDistribution(e)
+		dist, err := CrackDistributionCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k <= n; k++ {
-			direct, err := CrackDistributionDirect(e, k)
+			direct, err := CrackDistributionDirect(context.Background(), e, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func TestExpectedFromDistribution(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(5)
 		e := bipartite.RandomExplicit(n, 0.5, rng)
-		dist, err := CrackDistribution(e)
+		dist, err := CrackDistributionCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestExpectedFromDistribution(t *testing.T) {
 		for k, p := range dist {
 			want += float64(k) * p
 		}
-		got, err := ExactExpectedCracks(e)
+		got, err := ExactExpectedCracksCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,13 +163,13 @@ func TestExpectedFromDistribution(t *testing.T) {
 
 func TestCrackDistributionInfeasible(t *testing.T) {
 	e := bipartite.MustExplicit(2, [][]int{{1}, {1}})
-	if _, err := CrackDistribution(e); err == nil {
-		t.Error("CrackDistribution on infeasible graph: want error")
+	if _, err := CrackDistributionCtx(context.Background(), e); err == nil {
+		t.Error("CrackDistributionCtx on infeasible graph: want error")
 	}
-	if _, err := CrackDistributionDirect(e, 0); err == nil {
+	if _, err := CrackDistributionDirect(context.Background(), e, 0); err == nil {
 		t.Error("CrackDistributionDirect on infeasible graph: want error")
 	}
-	if _, err := CrackDistributionDirect(bipartite.Complete(2), 5); err == nil {
+	if _, err := CrackDistributionDirect(context.Background(), bipartite.Complete(2), 5); err == nil {
 		t.Error("k out of range: want error")
 	}
 }
@@ -192,11 +193,11 @@ func TestOEstimateTracksExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := ExactExpectedCracks(g.ToExplicit())
+		exact, err := ExactExpectedCracksCtx(context.Background(), g.ToExplicit())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := OEstimate(bf, ft, OEOptions{Propagate: true})
+		res, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{Propagate: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/belief"
@@ -20,13 +21,13 @@ func ExampleChainSpec() {
 }
 
 // The O-estimate of Figure 5 on the BigMart example under belief function h.
-func ExampleOEstimate() {
+func ExampleOEstimateCtx() {
 	ft, _ := dataset.NewTable(10, []int{5, 4, 5, 5, 3, 5})
 	h := belief.MustNew([]belief.Interval{
 		{Lo: 0, Hi: 1}, {Lo: 0.4, Hi: 0.5}, {Lo: 0.5, Hi: 0.5},
 		{Lo: 0.4, Hi: 0.6}, {Lo: 0.1, Hi: 0.4}, {Lo: 0.5, Hi: 0.5},
 	})
-	res, _ := core.OEstimate(h, ft, core.OEOptions{})
+	res, _ := core.OEstimateCtx(context.Background(), h, ft, core.OEOptions{})
 	fmt.Printf("OE(h, BigMart) = %.4f expected cracks\n", res.Value)
 	// Output:
 	// OE(h, BigMart) = 1.5667 expected cracks

@@ -16,7 +16,7 @@ import (
 type OEOptions struct {
 	// Propagate applies the degree-1 propagation of Figure 7 before reading
 	// outdegrees, as Section 5.2 recommends. Propagation can prove the graph
-	// infeasible for (very) non-compliant belief functions; OEstimate then
+	// infeasible for (very) non-compliant belief functions; the estimate then
 	// returns bipartite.ErrInfeasible.
 	Propagate bool
 	// Mask, when set (non-zero), restricts the summation to its members. The
@@ -58,20 +58,15 @@ func checkMask(name string, m bitset.Set, n int) error {
 	return nil
 }
 
-// OEstimate computes the O-estimate heuristic of Figure 5:
+// OEstimateCtx computes the O-estimate heuristic of Figure 5:
 //
 //	OE(β, D) = Σ_{x ∈ I_C} 1 / O_x
 //
 // where O_x is the outdegree of item x in the consistency graph and I_C the
 // set of items on which β is compliant (all of I for compliant functions).
 // Non-compliant items cannot be cracked by any consistent mapping and
-// contribute zero (Section 5.3). Runs in O(n log n) over frequency groups.
-func OEstimate(bf *belief.Function, ft *dataset.FrequencyTable, opts OEOptions) (*OEResult, error) {
-	return OEstimateCtx(context.Background(), bf, ft, opts)
-}
-
-// OEstimateCtx is OEstimate under a work budget. The estimate runs in
-// O(n log n) and essentially always completes — it is the floor of the
+// contribute zero (Section 5.3). The estimate runs in O(n log n) over
+// frequency groups and essentially always completes — it is the floor of the
 // degradation cascade — but the budget checks let a canceled context abort
 // even this path promptly on very large domains.
 func OEstimateCtx(ctx context.Context, bf *belief.Function, ft *dataset.FrequencyTable, opts OEOptions) (*OEResult, error) {
@@ -85,17 +80,12 @@ func OEstimateCtx(ctx context.Context, bf *belief.Function, ft *dataset.Frequenc
 	return OEstimateGraphCtx(ctx, g, opts)
 }
 
-// OEstimateGraph computes the O-estimate directly from a prebuilt graph.
+// OEstimateGraphCtx computes the O-estimate directly from a prebuilt graph.
 // This is the "second level" generalization the paper highlights in
 // Section 8.1: once a bipartite consistency graph is set up — by belief
 // functions over frequencies or by any other kind of partial information —
-// the estimate applies unchanged.
-func OEstimateGraph(g *bipartite.Graph, opts OEOptions) (*OEResult, error) {
-	return OEstimateGraphCtx(context.Background(), g, opts)
-}
-
-// OEstimateGraphCtx is OEstimateGraph under a work budget: one operation per
-// item scanned, charged one 64-item word at a time.
+// the estimate applies unchanged. One operation is charged per item scanned,
+// one 64-item word at a time.
 //
 // Both paths run as word-parallel kernels (DESIGN.md §16): the graph's
 // packed compliance words are ANDed with the option masks, the crackable

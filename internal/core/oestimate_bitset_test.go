@@ -147,7 +147,7 @@ func TestOEstimateBitsetMatchesReference(t *testing.T) {
 				opts.Interest = bitset.FromBools(interest)
 			}
 			wantV, wantC, refErr := referenceOEstimate(g, propagate, mask, interest)
-			got, gotErr := OEstimateGraph(g, opts)
+			got, gotErr := OEstimateGraphCtx(context.Background(), g, opts)
 			if (refErr == nil) != (gotErr == nil) {
 				t.Fatalf("trial %d (prop=%v): error mismatch: ref %v, bitset %v", trial, propagate, refErr, gotErr)
 			}

@@ -10,17 +10,12 @@ import (
 	"repro/internal/budget"
 )
 
-// OEstimateExplicit computes the O-estimate on an explicit bipartite graph —
-// the Section 8.1 generalization: whenever a space of consistent crack
-// mappings has been set up as a bipartite graph, by whatever kind of partial
-// information, OE = Σ 1/O_x over the items whose own anonymized counterpart
-// remains reachable. Options behave as in OEstimateGraph.
-func OEstimateExplicit(e *bipartite.Explicit, opts OEOptions) (*OEResult, error) {
-	return OEstimateExplicitCtx(context.Background(), e, opts)
-}
-
-// OEstimateExplicitCtx is OEstimateExplicit under a work budget, mirroring
-// OEstimateGraphCtx: one operation per edge scanned plus the propagation's
+// OEstimateExplicitCtx computes the O-estimate on an explicit bipartite
+// graph — the Section 8.1 generalization: whenever a space of consistent
+// crack mappings has been set up as a bipartite graph, by whatever kind of
+// partial information, OE = Σ 1/O_x over the items whose own anonymized
+// counterpart remains reachable. Options behave as in OEstimateGraphCtx, and
+// so does the budget: one operation per edge scanned plus the propagation's
 // own charges. The summation runs on the same word-parallel kernels as the
 // interval-structured path; only the compliance words (here the adjacency
 // diagonal) and the reciprocals (computed from the scanned indegrees) are

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,8 +51,8 @@ func TestOEstimateExplicitMatchesCompact(t *testing.T) {
 			if interest != nil {
 				opts.Interest = bitset.FromBools(interest)
 			}
-			compact, errC := OEstimateGraph(g, opts)
-			explicit, errE := OEstimateExplicit(e, opts)
+			compact, errC := OEstimateGraphCtx(context.Background(), g, opts)
+			explicit, errE := OEstimateExplicitCtx(context.Background(), e, opts)
 			if (errC == nil) != (errE == nil) {
 				t.Fatalf("trial %d (prop=%v): error mismatch %v vs %v", trial, propagate, errC, errE)
 			}
@@ -74,7 +75,7 @@ func TestOEstimateExplicitFigure6b(t *testing.T) {
 	// Figure 6(b): the irrelevant edge (2',3) inflates the plain estimate
 	// (O_3 counts it) but not the exact value.
 	e := bipartite.MustExplicit(4, [][]int{{0, 1}, {0, 1, 2}, {2, 3}, {2, 3}})
-	res, err := OEstimateExplicit(e, OEOptions{})
+	res, err := OEstimateExplicitCtx(context.Background(), e, OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +87,19 @@ func TestOEstimateExplicitFigure6b(t *testing.T) {
 
 func TestOEstimateExplicitValidation(t *testing.T) {
 	e := bipartite.Complete(3)
-	if _, err := OEstimateExplicit(e, OEOptions{Mask: bitset.New(1)}); err == nil {
+	if _, err := OEstimateExplicitCtx(context.Background(), e, OEOptions{Mask: bitset.New(1)}); err == nil {
 		t.Error("short mask: want error")
 	}
-	if _, err := OEstimateExplicit(e, OEOptions{Interest: bitset.New(1)}); err == nil {
+	if _, err := OEstimateExplicitCtx(context.Background(), e, OEOptions{Interest: bitset.New(1)}); err == nil {
 		t.Error("short interest: want error")
 	}
 	infeasible := bipartite.MustExplicit(2, [][]int{{1}, {1}})
-	if _, err := OEstimateExplicit(infeasible, OEOptions{Propagate: true}); err == nil {
+	if _, err := OEstimateExplicitCtx(context.Background(), infeasible, OEOptions{Propagate: true}); err == nil {
 		t.Error("infeasible + propagate: want error")
 	}
 	// Without propagation the per-item form still evaluates: item 1's twin
 	// is reachable (indegree 2), item 0's is not.
-	res, err := OEstimateExplicit(infeasible, OEOptions{})
+	res, err := OEstimateExplicitCtx(context.Background(), infeasible, OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,7 +22,7 @@ func beliefH() *belief.Function {
 
 func TestOEstimateBigMartH(t *testing.T) {
 	// Outdegrees under h: (6, 5, 4, 5, 2, 4) -> OE = 1/6+1/5+1/4+1/5+1/2+1/4.
-	res, err := OEstimate(beliefH(), bigMartTable(t), OEOptions{})
+	res, err := OEstimateCtx(context.Background(), beliefH(), bigMartTable(t), OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestOEstimateBigMartH(t *testing.T) {
 
 func TestOEstimateIgnorantIsLemma1(t *testing.T) {
 	ft := bigMartTable(t)
-	res, err := OEstimate(belief.Ignorant(ft.NItems), ft, OEOptions{})
+	res, err := OEstimateCtx(context.Background(), belief.Ignorant(ft.NItems), ft, OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestOEstimatePointValuedIsLemma3(t *testing.T) {
 		}
 		ft := mustTable(t, m, counts)
 		gr := dataset.GroupItems(ft)
-		res, err := OEstimate(belief.PointValued(ft.Frequencies()), ft, OEOptions{})
+		res, err := OEstimateCtx(context.Background(), belief.PointValued(ft.Frequencies()), ft, OEOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestOEstimateChainClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := OEstimate(bf, ft, OEOptions{})
+		res, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +115,11 @@ func TestOEstimateMonotonicityLemma8(t *testing.T) {
 		ft := mustTable(t, m, counts)
 		b1 := belief.RandomCompliant(ft.Frequencies(), 0.2, rng)
 		b2 := b1.Widen(rng.Float64() * 0.3)
-		r1, err := OEstimate(b1, ft, OEOptions{})
+		r1, err := OEstimateCtx(context.Background(), b1, ft, OEOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := OEstimate(b2, ft, OEOptions{})
+		r2, err := OEstimateCtx(context.Background(), b2, ft, OEOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func TestOEstimateMaskMonotonicityLemma10(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for level := 0; level < 4; level++ {
-			res, err := OEstimate(bf, ft, OEOptions{Mask: bitset.FromBools(mask)})
+			res, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{Mask: bitset.FromBools(mask)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func TestOEstimateMaskMonotonicityLemma10(t *testing.T) {
 func TestOEstimateMaskExcludesItems(t *testing.T) {
 	ft := bigMartTable(t)
 	mask := []bool{true, false, true, false, true, false}
-	res, err := OEstimate(beliefH(), ft, OEOptions{Mask: bitset.FromBools(mask)})
+	res, err := OEstimateCtx(context.Background(), beliefH(), ft, OEOptions{Mask: bitset.FromBools(mask)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestOEstimateMaskExcludesItems(t *testing.T) {
 			t.Errorf("Crackable(%d) = %v, want %v", x, got, mask[x])
 		}
 	}
-	if _, err := OEstimate(beliefH(), ft, OEOptions{Mask: bitset.New(1)}); err == nil {
+	if _, err := OEstimateCtx(context.Background(), beliefH(), ft, OEOptions{Mask: bitset.New(1)}); err == nil {
 		t.Error("short mask: want error")
 	}
 }
@@ -189,7 +190,7 @@ func TestOEstimateNonCompliantContributesZero(t *testing.T) {
 		{Lo: 0.05, Hi: 0.15}, {Lo: 0.4, Hi: 0.5}, {Lo: 0.5, Hi: 0.5},
 		{Lo: 0.4, Hi: 0.6}, {Lo: 0.1, Hi: 0.4}, {Lo: 0.5, Hi: 0.5},
 	})
-	res, err := OEstimate(bf, ft, OEOptions{})
+	res, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +220,14 @@ func TestOEstimatePropagationFigure6a(t *testing.T) {
 	}
 	bf := belief.MustNew(ivs)
 
-	plain, err := OEstimate(bf, ft, OEOptions{})
+	plain, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 25.0 / 12.0; math.Abs(plain.Value-want) > 1e-12 {
 		t.Errorf("plain OE = %v, want 25/12 = %v", plain.Value, want)
 	}
-	prop, err := OEstimate(bf, ft, OEOptions{Propagate: true})
+	prop, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{Propagate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestOEstimatePropagationForcedNonCrack(t *testing.T) {
 	// zero cracks.
 	ft := mustTable(t, 10, []int{2, 6})
 	bf := belief.MustNew([]belief.Interval{{Lo: 0.6, Hi: 0.6}, {Lo: 0, Hi: 1}})
-	prop, err := OEstimate(bf, ft, OEOptions{Propagate: true})
+	prop, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{Propagate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestOEstimatePropagationForcedNonCrack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ExactExpectedCracks(g.ToExplicit())
+	exact, err := ExactExpectedCracksCtx(context.Background(), g.ToExplicit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestOEstimatePropagationInfeasible(t *testing.T) {
 	ft := mustTable(t, 10, []int{2, 6})
 	// Both items insist on the singleton 0.6 group: infeasible.
 	bf := belief.MustNew([]belief.Interval{{Lo: 0.6, Hi: 0.6}, {Lo: 0.6, Hi: 0.6}})
-	if _, err := OEstimate(bf, ft, OEOptions{Propagate: true}); err == nil {
+	if _, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{Propagate: true}); err == nil {
 		t.Error("want infeasibility error")
 	}
 }
@@ -285,16 +286,16 @@ func TestOEstimateGraphSection8Generality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OEstimateGraph(g, OEOptions{})
+	res, err := OEstimateGraphCtx(context.Background(), g, OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFn, err := OEstimate(beliefH(), ft, OEOptions{})
+	viaFn, err := OEstimateCtx(context.Background(), beliefH(), ft, OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Value != viaFn.Value {
-		t.Errorf("OEstimateGraph = %v, OEstimate = %v", res.Value, viaFn.Value)
+		t.Errorf("OEstimateGraphCtx = %v, OEstimateCtx = %v", res.Value, viaFn.Value)
 	}
 }
 
@@ -306,7 +307,7 @@ func TestOEstimateInterestLemma2And4(t *testing.T) {
 	interest := []bool{true, false, false, false, true, false}
 
 	// Ignorant belief: OE restricted to the subset equals Lemma 2's n1/n.
-	res, err := OEstimate(belief.Ignorant(6), ft, OEOptions{Interest: bitset.FromBools(interest)})
+	res, err := OEstimateCtx(context.Background(), belief.Ignorant(6), ft, OEOptions{Interest: bitset.FromBools(interest)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestOEstimateInterestLemma2And4(t *testing.T) {
 	}
 
 	// Point-valued belief: OE restricted equals Lemma 4's Σ c_i/n_i.
-	res, err = OEstimate(belief.PointValued(ft.Frequencies()), ft, OEOptions{Interest: bitset.FromBools(interest)})
+	res, err = OEstimateCtx(context.Background(), belief.PointValued(ft.Frequencies()), ft, OEOptions{Interest: bitset.FromBools(interest)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestOEstimateInterestLemma2And4(t *testing.T) {
 	// Interest with propagation: forced cracks outside the interest set do
 	// not count.
 	onlyBig := []bool{true, false, true, true, false, true} // the 0.5 group
-	res, err = OEstimate(belief.PointValued(ft.Frequencies()), ft, OEOptions{Interest: bitset.FromBools(onlyBig), Propagate: true})
+	res, err = OEstimateCtx(context.Background(), belief.PointValued(ft.Frequencies()), ft, OEOptions{Interest: bitset.FromBools(onlyBig), Propagate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestOEstimateInterestLemma2And4(t *testing.T) {
 		t.Errorf("interest OE (propagated, big group only) = %v, want 1", res.Value)
 	}
 
-	if _, err := OEstimate(belief.Ignorant(6), ft, OEOptions{Interest: bitset.New(1)}); err == nil {
+	if _, err := OEstimateCtx(context.Background(), belief.Ignorant(6), ft, OEOptions{Interest: bitset.New(1)}); err == nil {
 		t.Error("short interest mask: want error")
 	}
 }

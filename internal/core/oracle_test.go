@@ -7,6 +7,7 @@ package core
 // numbers breaks these identities before it breaks a tolerance test.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,7 +58,7 @@ func randomMask(rng *rand.Rand, n int) []bool {
 // items: the exact expected number of cracks among the items of interest.
 func exactSubset(t *testing.T, e *bipartite.Explicit, interest []bool) float64 {
 	t.Helper()
-	probs, err := e.EdgeInclusionProbability()
+	probs, err := e.EdgeInclusionProbabilityCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestOracleLemma1Ignorant(t *testing.T) {
 			}
 			bf := belief.Ignorant(n)
 			e := buildExplicit(t, bf, ft)
-			exact, err := ExactExpectedCracks(e)
+			exact, err := ExactExpectedCracksCtx(context.Background(), e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func TestOracleLemma1Ignorant(t *testing.T) {
 			if got := ExpectedCracksIgnorant(n); got != 1 {
 				t.Errorf("ExpectedCracksIgnorant(%d) = %v", n, got)
 			}
-			oe, err := OEstimate(bf, ft, OEOptions{})
+			oe, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +134,7 @@ func TestOracleLemma2IgnorantSubset(t *testing.T) {
 			if got := exactSubset(t, e, interest); math.Abs(got-want) > oracleTol {
 				t.Errorf("n=%d n1=%d: exact subset E(X) = %v, Lemma 2 says %v", n, n1, got, want)
 			}
-			oe, err := OEstimate(bf, ft, OEOptions{Interest: bitset.FromBools(interest)})
+			oe, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{Interest: bitset.FromBools(interest)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,14 +163,14 @@ func TestOracleLemma3PointValued(t *testing.T) {
 				t.Fatalf("closed form drifted: %v vs %d groups", want, gr.NumGroups())
 			}
 			e := buildExplicit(t, bf, ft)
-			exact, err := ExactExpectedCracks(e)
+			exact, err := ExactExpectedCracksCtx(context.Background(), e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Abs(exact-want) > oracleTol {
 				t.Errorf("n=%d g=%d: exact E(X) = %v, Lemma 3 says %v", n, gr.NumGroups(), exact, want)
 			}
-			oe, err := OEstimate(bf, ft, OEOptions{})
+			oe, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +202,7 @@ func TestOracleLemma4PointValuedSubset(t *testing.T) {
 			if got := exactSubset(t, e, interest); math.Abs(got-want) > oracleTol {
 				t.Errorf("n=%d: exact subset E(X) = %v, Lemma 4 says %v", n, got, want)
 			}
-			oe, err := OEstimate(bf, ft, OEOptions{Interest: bitset.FromBools(interest)})
+			oe, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{Interest: bitset.FromBools(interest)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +282,7 @@ func TestOracleLemmas56Chain(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := buildExplicit(t, bf, ft)
-		exact, err := ExactExpectedCracks(e)
+		exact, err := ExactExpectedCracksCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +293,7 @@ func TestOracleLemmas56Chain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oe, err := OEstimate(bf, ft, OEOptions{})
+		oe, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,14 +312,14 @@ func TestOracleFigure4a(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := buildExplicit(t, bf, ft)
-	exact, err := ExactExpectedCracks(e)
+	exact, err := ExactExpectedCracksCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(exact-74.0/45) > oracleTol {
 		t.Errorf("Figure 4(a): exact E(X) = %v, want 74/45", exact)
 	}
-	oe, err := OEstimate(bf, ft, OEOptions{})
+	oe, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 func RunAblation(ctx context.Context, cfg Config) (*Report, error) {
 	rep := &Report{ID: "ablation", Title: "Ablations of the reproduction's design choices"}
 
-	prop, err := ablationPropagationAndWidth(rowRNG(cfg.Seed, 0, 0))
+	prop, err := ablationPropagationAndWidth(ctx, rowRNG(cfg.Seed, 0, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func RunAblation(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func ablationPropagationAndWidth(rng *rand.Rand) (*Table, error) {
+func ablationPropagationAndWidth(ctx context.Context, rng *rand.Rand) (*Table, error) {
 	tb := &Table{
 		Title:  "O-estimate vs propagation and interval width (full compliancy)",
 		Header: []string{"dataset", "OE δ_med", "OE δ_med+prop", "forced", "OE δ_mean", "OE δ_mean/OE δ_med"},
@@ -68,15 +68,15 @@ func ablationPropagationAndWidth(rng *rand.Rand) (*Table, error) {
 		med := belief.UniformWidth(freqs, gr.MedianGap())
 		mean := belief.UniformWidth(freqs, gr.MeanGap())
 
-		plain, err := core.OEstimate(med, ft, core.OEOptions{})
+		plain, err := core.OEstimateCtx(ctx, med, ft, core.OEOptions{})
 		if err != nil {
 			return nil, err
 		}
-		prop, err := core.OEstimate(med, ft, core.OEOptions{Propagate: true})
+		prop, err := core.OEstimateCtx(ctx, med, ft, core.OEOptions{Propagate: true})
 		if err != nil {
 			return nil, err
 		}
-		wide, err := core.OEstimate(mean, ft, core.OEOptions{})
+		wide, err := core.OEstimateCtx(ctx, mean, ft, core.OEOptions{})
 		if err != nil {
 			return nil, err
 		}

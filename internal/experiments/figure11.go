@@ -160,7 +160,11 @@ func figure11Simulation(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !g.Feasible() {
+		ok, err := g.Feasible(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			return []string{f2(a), "infeasible", "-"}, nil
 		}
 		est, err := matching.EstimateCracksCtx(ctx, g, scfg, rng)

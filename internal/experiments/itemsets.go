@@ -16,7 +16,7 @@ import (
 // from exact 2-itemset (pairwise support) knowledge on top of exact item
 // frequencies, and how many frequent itemsets are uniquely identified as sets
 // by their observable signatures.
-func RunItemsets(_ context.Context, cfg Config) (*Report, error) {
+func RunItemsets(ctx context.Context, cfg Config) (*Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rep := &Report{ID: "itemsets", Title: "§8.2 extension: itemset-level identity disclosure"}
 	tb := Table{
@@ -34,7 +34,7 @@ func RunItemsets(_ context.Context, cfg Config) (*Report, error) {
 			return nil, err
 		}
 		gr := dataset.GroupItems(db.Table())
-		cracks, ref, err := itemsetrisk.ExpectedCracksPairAware(db, 0)
+		cracks, ref, err := itemsetrisk.ExpectedCracksPairAware(ctx, db, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ import (
 // supports and the recall of the true top-20 items; risk as the compliancy
 // of a δ_med ball-park belief function against the released frequencies and
 // the O-estimate it yields.
-func RunSanitize(_ context.Context, cfg Config) (*Report, error) {
+func RunSanitize(ctx context.Context, cfg Config) (*Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rep := &Report{ID: "sanitize", Title: "Sanitization trade-off: anonymization vs randomization"}
 
@@ -48,7 +48,7 @@ func RunSanitize(_ context.Context, cfg Config) (*Report, error) {
 	}
 
 	// Plain anonymization: supports exact, belief fully compliant.
-	oe, err := core.OEstimate(bf, db.Table(), core.OEOptions{Propagate: true})
+	oe, err := core.OEstimateCtx(ctx, bf, db.Table(), core.OEOptions{Propagate: true})
 	if err != nil {
 		return nil, err
 	}

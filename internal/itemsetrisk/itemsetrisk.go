@@ -50,15 +50,9 @@ func pairKey(x, y int) uint64 {
 	return uint64(x)<<32 | uint64(uint32(y))
 }
 
-// ComputePairs counts pairwise co-occurrences in one database pass. The cost
-// is Σ_t |t|², so it is meant for the small and mid-size benchmarks.
-func ComputePairs(db *dataset.Database) *PairTable {
-	pt, _ := ComputePairsCtx(context.Background(), db)
-	return pt
-}
-
-// ComputePairsCtx is ComputePairs under a work budget, charging the |t|²
-// pair enumerations of each transaction as it is scanned.
+// ComputePairsCtx counts pairwise co-occurrences in one database pass. The
+// cost is Σ_t |t|², so it is meant for the small and mid-size benchmarks;
+// the pair enumerations of each transaction are charged as it is scanned.
 func ComputePairsCtx(ctx context.Context, db *dataset.Database) (*PairTable, error) {
 	bud := budget.New(ctx, budget.Config{})
 	if err := bud.Check(); err != nil {
@@ -100,16 +94,11 @@ type Refinement struct {
 	Rounds  int   // rounds until fixpoint (or the cap)
 }
 
-// Refine runs color refinement from the frequency-group coloring, using the
-// pair supports as edge labels, for at most maxRounds rounds (0 means run to
-// the fixpoint, which takes at most n rounds).
-func Refine(ft *dataset.FrequencyTable, pairs *PairTable, maxRounds int) (*Refinement, error) {
-	return RefineCtx(context.Background(), ft, pairs, maxRounds)
-}
-
-// RefineCtx is Refine under a work budget: each round costs one operation per
-// item plus one per directed co-occurrence edge (signature construction
-// dominates, and its cost is exactly that sum).
+// RefineCtx runs color refinement from the frequency-group coloring, using
+// the pair supports as edge labels, for at most maxRounds rounds (0 means
+// run to the fixpoint, which takes at most n rounds). Each round costs one
+// operation per item plus one per directed co-occurrence edge (signature
+// construction dominates, and its cost is exactly that sum).
 func RefineCtx(ctx context.Context, ft *dataset.FrequencyTable, pairs *PairTable, maxRounds int) (*Refinement, error) {
 	if pairs.Items() != ft.NItems {
 		return nil, fmt.Errorf("itemsetrisk: pair table over %d items, counts over %d", pairs.Items(), ft.NItems)
@@ -251,8 +240,12 @@ func appendVarint(b []byte, v int) []byte {
 // ExpectedCracksPairAware returns the Lemma 3-style expected crack count for
 // a hacker holding exact item frequencies AND exact pairwise supports: the
 // number of refinement classes. It also returns the refinement itself.
-func ExpectedCracksPairAware(db *dataset.Database, maxRounds int) (float64, *Refinement, error) {
-	ref, err := Refine(db.Table(), ComputePairs(db), maxRounds)
+func ExpectedCracksPairAware(ctx context.Context, db *dataset.Database, maxRounds int) (float64, *Refinement, error) {
+	pairs, err := ComputePairsCtx(ctx, db)
+	if err != nil {
+		return 0, nil, err
+	}
+	ref, err := RefineCtx(ctx, db.Table(), pairs, maxRounds)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,6 +1,7 @@
 package itemsetrisk
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,11 +11,21 @@ import (
 	"repro/internal/fim"
 )
 
+// mustPairs counts db's pair supports under a background context.
+func mustPairs(t testing.TB, db *dataset.Database) *PairTable {
+	t.Helper()
+	pt, err := ComputePairsCtx(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
 func TestPairTableBasics(t *testing.T) {
 	db := dataset.MustNew(4, []dataset.Transaction{
 		{0, 1, 2}, {0, 1}, {2, 3}, {0, 2},
 	})
-	pt := ComputePairs(db)
+	pt := mustPairs(t, db)
 	want := map[[2]int]int{
 		{0, 1}: 2, {0, 2}: 2, {1, 2}: 1, {2, 3}: 1,
 	}
@@ -52,7 +63,7 @@ func TestRefineSplitsEqualFrequencies(t *testing.T) {
 	if gr.NumGroups() != 2 {
 		t.Fatalf("groups = %d, want 2", gr.NumGroups())
 	}
-	cracks, ref, err := ExpectedCracksPairAware(db, 0)
+	cracks, ref, err := ExpectedCracksPairAware(context.Background(), db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +77,7 @@ func TestRefineSplitsEqualFrequencies(t *testing.T) {
 		{0, 2}, {0, 3}, {0, 1}, {0, 1}, {2}, {3},
 	})
 	// counts: 0 -> 4, 1 -> 2, 2 -> 2, 3 -> 2; pair(0,1)=2, pair(0,2)=1=pair(0,3).
-	_, ref2, err := ExpectedCracksPairAware(db2, 0)
+	_, ref2, err := ExpectedCracksPairAware(context.Background(), db2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +97,7 @@ func TestRefineNeverCoarserThanGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 		gr := dataset.GroupItems(db.Table())
-		_, ref, err := ExpectedCracksPairAware(db, 0)
+		_, ref, err := ExpectedCracksPairAware(context.Background(), db, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +122,11 @@ func TestRefineRoundCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Refine(db.Table(), ComputePairs(db), 0)
+	full, err := RefineCtx(context.Background(), db.Table(), mustPairs(t, db), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Refine(db.Table(), ComputePairs(db), 1)
+	capped, err := RefineCtx(context.Background(), db.Table(), mustPairs(t, db), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +141,7 @@ func TestRefineRoundCap(t *testing.T) {
 func TestRefineDomainMismatch(t *testing.T) {
 	db := dataset.MustNew(3, []dataset.Transaction{{0, 1, 2}})
 	other := dataset.MustNew(4, []dataset.Transaction{{0, 1, 2, 3}})
-	if _, err := Refine(db.Table(), ComputePairs(other), 0); err == nil {
+	if _, err := RefineCtx(context.Background(), db.Table(), mustPairs(t, other), 0); err == nil {
 		t.Error("mismatched domains: want error")
 	}
 }
@@ -151,11 +162,11 @@ func TestRefinementIsAnonymizationInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, orig, err := ExpectedCracksPairAware(db, 0)
+		_, orig, err := ExpectedCracksPairAware(context.Background(), db, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, anon, err := ExpectedCracksPairAware(anonDB, 0)
+		_, anon, err := ExpectedCracksPairAware(context.Background(), anonDB, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +215,7 @@ func TestPairAwareAtLeastItemLevelOnBenchmarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	gr := dataset.GroupItems(db.Table())
-	cracks, ref, err := ExpectedCracksPairAware(db, 0)
+	cracks, ref, err := ExpectedCracksPairAware(context.Background(), db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ type PairBelief struct {
 	Iv   belief.Interval
 }
 
-// PruneWithPairBeliefs refines an item-level consistency graph using
+// PruneWithPairBeliefsCtx refines an item-level consistency graph using
 // 2-itemset beliefs by arc consistency: the edge (w′, x) survives only if,
 // for every believed pair {x, y}, some candidate w2′ of y co-occurs with w′
 // at a rate inside the believed interval (and symmetrically). Pruning
@@ -33,14 +33,10 @@ type PairBelief struct {
 // nTransactions transactions; since anonymization preserves co-occurrence,
 // callers working in the identity-aligned id space can pass the original's
 // pair table.
-func PruneWithPairBeliefs(g *bipartite.Explicit, pairs *PairTable, nTransactions int, beliefs []PairBelief) (*bipartite.Explicit, int, error) {
-	return PruneWithPairBeliefsCtx(context.Background(), g, pairs, nTransactions, beliefs)
-}
-
-// PruneWithPairBeliefsCtx is PruneWithPairBeliefs under a work budget. Each
-// candidate-edge revision charges one operation per belief it must witness;
-// the AC-3 loop can revise an edge once per removal elsewhere, so the budget
-// is what bounds adversarially slow fixpoints.
+//
+// Each candidate-edge revision charges one operation per belief it must
+// witness; the AC-3 loop can revise an edge once per removal elsewhere, so
+// the budget is what bounds adversarially slow fixpoints.
 func PruneWithPairBeliefsCtx(ctx context.Context, g *bipartite.Explicit, pairs *PairTable, nTransactions int, beliefs []PairBelief) (*bipartite.Explicit, int, error) {
 	n := g.N
 	if pairs.Items() != n {

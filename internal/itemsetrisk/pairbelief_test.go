@@ -1,6 +1,7 @@
 package itemsetrisk
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func paperClosingExample(t testing.TB) (*dataset.Database, *bipartite.Explicit, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, g.ToExplicit(), ComputePairs(db)
+	return db, g.ToExplicit(), mustPairs(t, db)
 }
 
 func TestPruneSplitsEqualFrequencyPair(t *testing.T) {
@@ -44,7 +45,7 @@ func TestPruneSplitsEqualFrequencyPair(t *testing.T) {
 	}
 	// The hacker knows the exact support of {0, 2}.
 	beliefs := ExactPairBeliefs(pairs, m, [][2]int{{0, 2}}, 0.01)
-	pruned, removed, err := PruneWithPairBeliefs(e, pairs, m, beliefs)
+	pruned, removed, err := PruneWithPairBeliefsCtx(context.Background(), e, pairs, m, beliefs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestPruneSplitsEqualFrequencyPair(t *testing.T) {
 		t.Error("edge (0',0) must survive (it has the witness)")
 	}
 	// The disclosure estimate rises accordingly.
-	before, err := core.OEstimateExplicit(e, core.OEOptions{})
+	before, err := core.OEstimateExplicitCtx(context.Background(), e, core.OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := core.OEstimateExplicit(pruned, core.OEOptions{})
+	after, err := core.OEstimateExplicitCtx(context.Background(), pruned, core.OEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestPruneSoundness(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := g.ToExplicit()
-		pairs := ComputePairs(db)
+		pairs := mustPairs(t, db)
 		// Believe two random true pairs with small slack.
 		var which [][2]int
 		for len(which) < 2 {
@@ -100,14 +101,14 @@ func TestPruneSoundness(t *testing.T) {
 			}
 		}
 		beliefs := ExactPairBeliefs(pairs, db.Transactions(), which, 0.02)
-		pruned, _, err := PruneWithPairBeliefs(e, pairs, db.Transactions(), beliefs)
+		pruned, _, err := PruneWithPairBeliefsCtx(context.Background(), e, pairs, db.Transactions(), beliefs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Enumerate matchings of the ORIGINAL graph that satisfy every
 		// belief; each such matching must use only surviving edges.
 		m := float64(db.Transactions())
-		err = e.EnumeratePerfectMatchings(0, func(match []int) {
+		err = e.EnumeratePerfectMatchingsCtx(context.Background(), 0, func(match []int) {
 			for _, pb := range beliefs {
 				// match maps anonymized -> item; invert for item -> anon.
 				wa, wb := -1, -1
@@ -137,23 +138,23 @@ func TestPruneSoundness(t *testing.T) {
 
 func TestPruneValidation(t *testing.T) {
 	db := dataset.MustNew(3, []dataset.Transaction{{0, 1}, {1, 2}})
-	pairs := ComputePairs(db)
+	pairs := mustPairs(t, db)
 	e := bipartite.Complete(3)
-	if _, _, err := PruneWithPairBeliefs(e, pairs, 0, nil); err == nil {
+	if _, _, err := PruneWithPairBeliefsCtx(context.Background(), e, pairs, 0, nil); err == nil {
 		t.Error("0 transactions: want error")
 	}
-	if _, _, err := PruneWithPairBeliefs(e, pairs, 2, []PairBelief{{A: 0, B: 0}}); err == nil {
+	if _, _, err := PruneWithPairBeliefsCtx(context.Background(), e, pairs, 2, []PairBelief{{A: 0, B: 0}}); err == nil {
 		t.Error("self pair: want error")
 	}
-	if _, _, err := PruneWithPairBeliefs(e, pairs, 2, []PairBelief{{A: 0, B: 9}}); err == nil {
+	if _, _, err := PruneWithPairBeliefsCtx(context.Background(), e, pairs, 2, []PairBelief{{A: 0, B: 9}}); err == nil {
 		t.Error("out-of-range pair: want error")
 	}
-	other := ComputePairs(dataset.MustNew(4, []dataset.Transaction{{0, 1, 2, 3}}))
-	if _, _, err := PruneWithPairBeliefs(e, other, 2, nil); err == nil {
+	other := mustPairs(t, dataset.MustNew(4, []dataset.Transaction{{0, 1, 2, 3}}))
+	if _, _, err := PruneWithPairBeliefsCtx(context.Background(), e, other, 2, nil); err == nil {
 		t.Error("domain mismatch: want error")
 	}
 	// No beliefs: graph unchanged.
-	same, removed, err := PruneWithPairBeliefs(e, pairs, 2, nil)
+	same, removed, err := PruneWithPairBeliefsCtx(context.Background(), e, pairs, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

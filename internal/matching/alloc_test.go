@@ -21,7 +21,7 @@ func allocSampler(t testing.TB) *Sampler {
 	ft := mustTable(t, 60, []int{4, 4, 11, 11, 11, 19, 19, 28, 28, 39, 39, 39, 50, 50})
 	bf := belief.UniformWidth(ft.Frequencies(), 0.09)
 	g := buildGraph(t, bf, ft)
-	s, err := NewSampler(g, rand.New(rand.NewSource(17)))
+	s, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(17)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,15 @@ func TestCracksZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
+// TestTargetedSweepBatchZeroAllocs is the multi-batch row of the contract:
+// a sweep over full batches plus a partial one reuses the fixed word buffer.
 func TestTargetedSweepBatchZeroAllocs(t *testing.T) {
-	s := allocSampler(t)
-	s.targetedSweepBatch(64) // first call sizes the word buffer
-	if n := testing.AllocsPerRun(200, func() { s.targetedSweepBatch(64) }); n != 0 {
-		t.Errorf("targetedSweepBatch allocates %v per call, want 0", n)
+	s, err := NewSampler(context.Background(), batchChainGraph(t), rand.New(rand.NewSource(17)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { s.TargetedSweep() }); n != 0 {
+		t.Errorf("TargetedSweep over several batches allocates %v per call, want 0", n)
 	}
 }
 
@@ -76,13 +80,14 @@ func TestSimulateRunSteadyStateAllocs(t *testing.T) {
 	bf := belief.UniformWidth(ft.Frequencies(), 0.09)
 	g := buildGraph(t, bf, ft)
 	cfg := Config{SeedSweeps: 5, SampleGap: 2, SamplesPerSeed: 10, Samples: 30, Runs: 1}.withDefaults()
-	sc := &runScratch{bud: budget.NewShared(context.Background(), budget.Config{}).Worker()}
-	if _, err := simulateRun(g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
+	ctx := context.Background()
+	sc := &runScratch{bud: budget.NewShared(ctx, budget.Config{}).Worker()}
+	if _, err := simulateRun(ctx, g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
 		t.Fatal(err) // warm-up run binds the scratch
 	}
 	run := uint64(1)
 	n := testing.AllocsPerRun(50, func() {
-		if _, err := simulateRun(g, cfg, parallel.SplitSeed(1, run), sc); err != nil {
+		if _, err := simulateRun(ctx, g, cfg, parallel.SplitSeed(1, run), sc); err != nil {
 			t.Fatal(err)
 		}
 		run++
@@ -92,27 +97,27 @@ func TestSimulateRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSimulateRunBatchedSteadyStateAllocs is the batched-kernel row of the
-// same contract: with BatchK set, the word buffer is sized on the warm-up
-// run and steady-state runs stay allocation-free.
+// TestSimulateRunBatchedSteadyStateAllocs is the multi-batch row of the
+// same contract: on a graph of more than sweepBatch items every sweep runs
+// full batches plus a partial one, and steady-state runs still stay
+// allocation-free.
 func TestSimulateRunBatchedSteadyStateAllocs(t *testing.T) {
-	ft := mustTable(t, 60, []int{4, 4, 11, 11, 11, 19, 19, 28, 28, 39, 39, 39, 50, 50})
-	bf := belief.UniformWidth(ft.Frequencies(), 0.09)
-	g := buildGraph(t, bf, ft)
-	cfg := Config{SeedSweeps: 5, SampleGap: 2, SamplesPerSeed: 10, Samples: 30, Runs: 1, BatchK: 64}.withDefaults()
-	sc := &runScratch{bud: budget.NewShared(context.Background(), budget.Config{}).Worker()}
-	if _, err := simulateRun(g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
-		t.Fatal(err) // warm-up run binds the scratch and sizes the buffer
+	g := batchChainGraph(t)
+	cfg := Config{SeedSweeps: 5, SampleGap: 2, SamplesPerSeed: 10, Samples: 30, Runs: 1}.withDefaults()
+	ctx := context.Background()
+	sc := &runScratch{bud: budget.NewShared(ctx, budget.Config{}).Worker()}
+	if _, err := simulateRun(ctx, g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
+		t.Fatal(err) // warm-up run binds the scratch
 	}
 	run := uint64(1)
 	n := testing.AllocsPerRun(50, func() {
-		if _, err := simulateRun(g, cfg, parallel.SplitSeed(1, run), sc); err != nil {
+		if _, err := simulateRun(ctx, g, cfg, parallel.SplitSeed(1, run), sc); err != nil {
 			t.Fatal(err)
 		}
 		run++
 	})
 	if n != 0 {
-		t.Errorf("steady-state batched simulateRun allocates %v per run, want 0", n)
+		t.Errorf("steady-state multi-batch simulateRun allocates %v per run, want 0", n)
 	}
 }
 
@@ -142,7 +147,7 @@ func TestIncrementalCracksMatchesRecount(t *testing.T) {
 		ft := mustTable(t, m, counts)
 		bf := belief.RandomCompliant(ft.Frequencies(), 0.25, rng)
 		g := buildGraph(t, bf, ft)
-		s, err := NewSampler(g, rng)
+		s, err := NewSampler(context.Background(), g, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,49 +1,51 @@
 package matching
 
-// Micro-benchmarks of the two targeted-sweep kernels on a CONNECT-sized
-// domain, isolating the proposal loop from the estimate plumbing that
-// BenchmarkSamplerParallel (repo root) times end to end. The batched kernel
-// is the one the serving benchmarks run; the per-draw kernel stays as the
-// byte-identical replay path.
+// Micro-benchmark of the targeted-sweep kernel, isolating the proposal loop
+// from the estimate plumbing that BenchmarkSamplerParallel (repo root) times
+// end to end, on a CONNECT-sized and a RETAIL-sized domain. The sweep over
+// sweepBatch recorded in DESIGN.md §16.3 reruns this benchmark once per
+// candidate value.
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/belief"
+	"repro/internal/datagen"
+	"repro/internal/dataset"
 )
 
-func kernelSampler(b *testing.B) *Sampler {
+func BenchmarkTargetedSweep(b *testing.B) {
 	counts := make([]int, 130)
 	rng := rand.New(rand.NewSource(2))
 	for i := range counts {
 		counts[i] = rng.Intn(200)
 	}
-	ft := mustTable(b, 200, counts)
-	bf := belief.UniformWidth(ft.Frequencies(), 0.01)
-	g := buildGraph(b, bf, ft)
-	s, err := NewSampler(g, rand.New(rand.NewSource(17)))
+	connect := mustTable(b, 200, counts)
+	retail, err := datagen.RETAIL.Counts(rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s
-}
-
-func BenchmarkTargetedSweep(b *testing.B) {
-	s := kernelSampler(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.TargetedSweep()
-	}
-}
-
-func BenchmarkTargetedSweepBatch(b *testing.B) {
-	s := kernelSampler(b)
-	s.targetedSweepBatch(64) // size the word buffer outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.targetedSweepBatch(64)
+	for _, tc := range []struct {
+		ft    *dataset.FrequencyTable
+		width float64
+	}{
+		{connect, 0.01},
+		{retail, dataset.GroupItems(retail).MedianGap()},
+	} {
+		b.Run(fmt.Sprintf("items=%d", tc.ft.NItems), func(b *testing.B) {
+			g := buildGraph(b, belief.UniformWidth(tc.ft.Frequencies(), tc.width), tc.ft)
+			s, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(17)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.TargetedSweep()
+			}
+		})
 	}
 }

@@ -37,15 +37,6 @@ type Config struct {
 	Samples        int  // total samples per run; default 1000
 	Runs           int  // independent runs averaged; default 5 (as in the paper)
 	PaperMoves     bool // use the paper's blind transpositions instead of targeted swaps
-
-	// BatchK > 1 makes targeted sweeps draw their randomness in batches of K
-	// proposals per refill (targetedSweepBatch): one 64-bit stream touch per
-	// proposal instead of two, with the Lemire rejection threshold hoisted to
-	// one bounds computation per batch. 0 or 1 selects the legacy
-	// draw-per-proposal kernel, whose output the batched kernel does NOT
-	// reproduce (it consumes the stream differently) — K=1 exists precisely
-	// so callers can pin byte-identical historical trajectories.
-	BatchK int
 }
 
 // withDefaults fills zero fields.
@@ -94,10 +85,6 @@ type Sampler struct {
 	// default is targeted swaps.
 	PaperMoves bool
 
-	// BatchK > 1 makes Step use the batched targeted kernel with K
-	// proposals per randomness refill; see Config.BatchK.
-	BatchK int
-
 	g *bipartite.Graph
 
 	// Slice headers captured from the graph at bind time so the proposal
@@ -109,10 +96,10 @@ type Sampler struct {
 	itemHi   []int // last consistent group per item (inclusive)
 	itemGrp  []int // true group of each anonymized item
 
-	anonOf   []int    // anonOf[x] = anonymized item currently matched to item x
-	itemOf   []int    // itemOf[w] = item currently holding anonymized item w
-	perm     []int    // scratch permutation for Sweep
-	batchBuf []uint64 // word buffer for targetedSweepBatch: raw draws, then packed proposals
+	anonOf []int              // anonOf[x] = anonymized item currently matched to item x
+	itemOf []int              // itemOf[w] = item currently holding anonymized item w
+	perm   []int              // scratch permutation for Sweep
+	batch  [sweepBatch]uint64 // word buffer for TargetedSweep: raw draws, then packed proposals
 
 	seedMatch    []int // base matching reseeds start from
 	identitySeed bool  // seedMatch is the identity: shuffle within groups
@@ -127,9 +114,9 @@ type Sampler struct {
 // sampler's internal SplitMix64 stream — so construction stays deterministic
 // for a fixed rng. It returns bipartite.ErrInfeasible when no consistent
 // matching exists at all.
-func NewSampler(g *bipartite.Graph, rng *rand.Rand) (*Sampler, error) {
+func NewSampler(ctx context.Context, g *bipartite.Graph, rng *rand.Rand) (*Sampler, error) {
 	s := &Sampler{}
-	if err := s.Reset(g, rng.Int63()); err != nil {
+	if err := s.Reset(ctx, g, rng.Int63()); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -140,10 +127,11 @@ func NewSampler(g *bipartite.Graph, rng *rand.Rand) (*Sampler, error) {
 // was previously bound to a graph of at least the same domain size; the
 // per-worker scratch of EstimateCracksCtx relies on this to run every chain
 // allocation-free after the first. It returns bipartite.ErrInfeasible when
-// the graph admits no consistent matching.
-func (s *Sampler) Reset(g *bipartite.Graph, seed int64) error {
+// the graph admits no consistent matching, and an error for domains of 2^31
+// or more items, past the 32-bit draws of TargetedSweep.
+func (s *Sampler) Reset(ctx context.Context, g *bipartite.Graph, seed int64) error {
 	if s.g != g {
-		if err := s.bind(g); err != nil {
+		if err := s.bind(ctx, g); err != nil {
 			return err
 		}
 	}
@@ -155,15 +143,18 @@ func (s *Sampler) Reset(g *bipartite.Graph, seed int64) error {
 // bind captures g's flat layout and establishes the base seed matching: the
 // identity when the graph is compliant, a greedy perfect matching otherwise
 // (both deterministic, so they are computed once and reused by reseed).
-func (s *Sampler) bind(g *bipartite.Graph) error {
+func (s *Sampler) bind(ctx context.Context, g *bipartite.Graph) error {
+	n := g.Items()
+	if uint64(n) >= 1<<31 {
+		return fmt.Errorf("matching: the sampler needs fewer than 2^31 items")
+	}
 	match, err := g.IdentityMatching()
 	identity := err == nil
 	if !identity {
-		if match, err = g.PerfectMatching(); err != nil {
+		if match, err = g.PerfectMatchingCtx(ctx); err != nil {
 			return err
 		}
 	}
-	n := g.Items()
 	s.g = g
 	s.flat, s.candBase, s.candSpan = g.CandidateLayout()
 	s.itemLo, s.itemHi, s.itemGrp = g.ItemLo, g.ItemHi, g.ItemGroup
@@ -265,150 +256,110 @@ func (s *Sampler) swap(i, j int) {
 	s.itemOf[wi], s.itemOf[wj] = j, i
 }
 
+// sweepBatch is the number of proposals TargetedSweep resolves per refill of
+// its word buffer, chosen from a BenchmarkTargetedSweep sweep over
+// K ∈ {16, 32, 64, 128, 256} (DESIGN.md §16.3).
+const sweepBatch = 64
+
 // TargetedSweep performs n targeted-swap proposals and reports how many were
 // accepted. See the Sampler documentation for the kernel and its symmetry.
-// This is the flat kernel proper: per proposal, two bounded-rand draws, one
-// candidate load, one interval test, and a constant-work swap.
+// Proposals run in batches of sweepBatch (proposeBatch); the item draw's
+// rejection threshold (-n mod n) is computed once per sweep.
 func (s *Sampler) TargetedSweep() int {
 	n := len(s.anonOf)
-	un := uint64(n)
-	anonOf := s.anonOf
-	flat, candBase, candSpan := s.flat, s.candBase, s.candSpan
-	itemLo, itemHi, itemGrp := s.itemLo, s.itemHi, s.itemGrp
+	if n == 0 {
+		return 0
+	}
+	n32 := uint32(n)
+	itemThresh := -n32 % n32 // (2^32 - n) mod n, the biased low fringe
 	accepted := 0
-	for t := 0; t < n; t++ {
-		i := int(s.rng.Uintn(un))
-		span := candSpan[i]
-		if span == 0 {
-			continue
-		}
-		// Uniform candidate from i's belief range: one draw, one load.
-		w := flat[candBase[i]+int(s.rng.Uintn(uint64(span)))]
-		if w == anonOf[i] {
-			continue
-		}
-		j := s.itemOf[w]
-		// Moving w to i is consistent by construction; the displaced
-		// anonymized item must suit j.
-		gi := itemGrp[anonOf[i]]
-		if itemLo[j] <= gi && gi <= itemHi[j] {
-			s.swap(i, j)
-			accepted++
-		}
+	for done := 0; done < n; done += sweepBatch {
+		accepted += s.proposeBatch(s.batch[:min(sweepBatch, n-done)], itemThresh)
 	}
 	return accepted
 }
 
-// targetedSweepBatch performs the same n targeted-swap proposals as
-// TargetedSweep, but draws randomness in batches of k proposals per refill
-// of a reusable word buffer:
+// proposeBatch draws, resolves and applies len(buf) targeted proposals,
+// using buf as its word buffer:
 //
-//   - ONE 64-bit stream touch per proposal instead of two — the high half
-//     picks the item, the low half picks the candidate, each by Lemire's
-//     32-bit multiply-shift (exact for n < 2^31, which even RETAIL clears
-//     by five orders of magnitude);
-//   - the item draw's rejection threshold (-n mod n) is hoisted to one
-//     bounds computation per batch, where the per-draw kernel re-derives it
-//     lazily inside every unlucky draw;
-//   - the stream state lives in a stack variable across the whole sweep —
-//     no pointer round-trip through the Sampler per draw — and is written
-//     back once at the end.
-//
-// The move kernel, acceptance rule, and stationary distribution are exactly
-// TargetedSweep's; only the stream-consumption pattern differs, so batched
-// trajectories are deterministic per seed but not byte-identical to the
-// k=1 kernel's. k < 2 (and the out-of-range n ≥ 2^31 guard) falls back to
-// the per-draw kernel.
-func (s *Sampler) targetedSweepBatch(k int) int {
-	n := len(s.anonOf)
-	if k < 2 || n == 0 || uint64(n) >= 1<<31 {
-		return s.TargetedSweep()
-	}
-	if cap(s.batchBuf) < k {
-		s.batchBuf = make([]uint64, k)
-	}
+//   - ONE 64-bit stream touch per proposal — the high half picks the item,
+//     the low half picks the candidate, each by Lemire's 32-bit
+//     multiply-shift (exact for n < 2^31, which bind enforces and even RETAIL
+//     clears by five orders of magnitude);
+//   - the stream state lives in a stack variable across the batch — no
+//     pointer round-trip through the Sampler per draw — and is written back
+//     once at the end of the draws.
+func (s *Sampler) proposeBatch(buf []uint64, itemThresh uint32) int {
 	anonOf, itemOf := s.anonOf, s.itemOf
 	flat, candBase, candSpan := s.flat, s.candBase, s.candSpan
 	itemLo, itemHi, itemGrp := s.itemLo, s.itemHi, s.itemGrp
-	un := uint64(n)
-	n32 := uint32(n)
-	itemThresh := -n32 % n32 // (2^32 - n) mod n, the biased low fringe
-	state := s.rng           // stream state in a register for the whole sweep
-	accepted := 0
-	//lint:allow loopbudget one O(n) sweep over register-resident state, same cost contract as TargetedSweep; simulateRun charges per sweep
-	for done := 0; done < n; {
-		cnt := k
-		if n-done < cnt {
-			cnt = n - done
+	un := uint64(len(anonOf))
+	state := s.rng
+	for idx := range buf {
+		buf[idx] = state.Uint64()
+	}
+	// Phase 1: resolve every slot's (item, candidate) pair, packed back into
+	// the word buffer in place as item<<32 | candidate (all-ones marks an
+	// isolated item with no candidates). The pairs depend only on the stream
+	// words and the graph's static layout — not on the evolving matching —
+	// so the iterations are independent and the multiplies and candidate
+	// loads pipeline across slots, instead of queueing behind the previous
+	// proposal's swap.
+	//lint:allow loopbudget one pass over a sweepBatch-sized buffer; simulateRun charges per sweep
+	for idx, word := range buf {
+		// Item from the high half: one 32×32→64 multiply against the
+		// hoisted threshold.
+		m := (word >> 32) * un
+		for uint32(m) < itemThresh {
+			m = (state.Uint64() >> 32) * un
 		}
-		buf := s.batchBuf[:cnt]
-		for idx := range buf {
-			buf[idx] = state.Uint64()
+		i := int(m >> 32)
+		span := candSpan[i]
+		if span == 0 {
+			buf[idx] = ^uint64(0) // isolated item: no proposal
+			continue
 		}
-		// Phase 1: resolve every slot's (item, candidate) pair, packed back
-		// into the word buffer in place as item<<32 | candidate (all-ones
-		// marks an isolated item with no candidates). The pairs depend only
-		// on the stream words and the graph's static layout — not on the
-		// evolving matching — so the iterations are independent and the
-		// multiplies and candidate loads pipeline across slots, instead of
-		// queueing behind the previous proposal's swap.
-		for idx, word := range buf {
-			// Item from the high half: one 32×32→64 multiply against the
-			// batch-hoisted threshold.
-			m := (word >> 32) * un
-			for uint32(m) < itemThresh {
-				m = (state.Uint64() >> 32) * un
+		// Candidate from the low half: span varies per item, so the fringe
+		// test stays lazy as in Stream.Uintn.
+		us := uint64(uint32(span))
+		m2 := (word & 0xffffffff) * us
+		if lo := uint32(m2); lo < uint32(span) {
+			thresh := -uint32(span) % uint32(span)
+			for lo < thresh {
+				m2 = (state.Uint64() & 0xffffffff) * us
+				lo = uint32(m2)
 			}
-			i := int(m >> 32)
-			span := candSpan[i]
-			if span == 0 {
-				buf[idx] = ^uint64(0) // isolated item: no proposal
-				continue
-			}
-			// Candidate from the low half: span varies per item, so the
-			// fringe test stays lazy as in Stream.Uintn.
-			us := uint64(uint32(span))
-			m2 := (word & 0xffffffff) * us
-			if lo := uint32(m2); lo < uint32(span) {
-				thresh := -uint32(span) % uint32(span)
-				for lo < thresh {
-					m2 = (state.Uint64() & 0xffffffff) * us
-					lo = uint32(m2)
-				}
-			}
-			buf[idx] = uint64(i)<<32 | uint64(uint32(flat[candBase[i]+int(m2>>32)]))
 		}
-		// Phase 2: apply the proposals in slot order against the live
-		// matching. Acceptance is branchless: a rejected proposal becomes
-		// the no-op transposition (i, i) by conditional move, and the swap
-		// body runs unconditionally with a flag-set crack delta — near
-		// stationarity the accept/reject outcomes are data-dependent coin
-		// flips, exactly the branches a predictor cannot learn. A proposal
-		// whose candidate is the item's current partner is the identity
-		// move and counts as (trivially) accepted, unlike the per-draw
-		// kernel, which skips it before the acceptance test.
-		cracks := s.cracks
-		for _, pair := range buf {
-			if pair == ^uint64(0) {
-				continue
-			}
-			i := int(pair >> 32)
-			j := itemOf[uint32(pair)]
-			gi := itemGrp[anonOf[i]]
-			ok := itemLo[j] <= gi && gi <= itemHi[j]
-			if !ok {
-				j = i
-			}
-			wi, wj := anonOf[i], anonOf[j]
-			cracks += b2i(wj == i) + b2i(wi == j) - b2i(wi == i) - b2i(wj == j)
-			anonOf[i], anonOf[j] = wj, wi
-			itemOf[wi], itemOf[wj] = j, i
-			accepted += b2i(ok)
-		}
-		s.cracks = cracks
-		done += cnt
+		buf[idx] = uint64(i)<<32 | uint64(uint32(flat[candBase[i]+int(m2>>32)]))
 	}
 	s.rng = state
+	// Phase 2: apply the proposals in slot order against the live matching.
+	// Acceptance is branchless: a rejected proposal becomes the no-op
+	// transposition (i, i) by conditional move, and the swap body runs
+	// unconditionally with a flag-set crack delta — near stationarity the
+	// accept/reject outcomes are data-dependent coin flips, exactly the
+	// branches a predictor cannot learn. A proposal whose candidate is the
+	// item's current partner is the identity move and counts as (trivially)
+	// accepted.
+	cracks, accepted := s.cracks, 0
+	for _, pair := range buf {
+		if pair == ^uint64(0) {
+			continue
+		}
+		i := int(pair >> 32)
+		j := itemOf[uint32(pair)]
+		gi := itemGrp[anonOf[i]]
+		ok := itemLo[j] <= gi && gi <= itemHi[j]
+		if !ok {
+			j = i
+		}
+		wi, wj := anonOf[i], anonOf[j]
+		cracks += b2i(wj == i) + b2i(wi == j) - b2i(wi == i) - b2i(wj == j)
+		anonOf[i], anonOf[j] = wj, wi
+		itemOf[wi], itemOf[wj] = j, i
+		accepted += b2i(ok)
+	}
+	s.cracks = cracks
 	return accepted
 }
 
@@ -437,9 +388,6 @@ func (s *Sampler) Step() int {
 	if s.PaperMoves {
 		return s.Sweep()
 	}
-	if s.BatchK > 1 {
-		return s.targetedSweepBatch(s.BatchK)
-	}
 	return s.TargetedSweep()
 }
 
@@ -465,17 +413,6 @@ type Estimate struct {
 // Fraction returns the estimate as a fraction of the domain size n.
 func (e *Estimate) Fraction(n int) float64 { return e.Mean / float64(n) }
 
-// EstimateCracks runs the full simulation of Section 7.1: cfg.Runs
-// independent runs, each drawing cfg.Samples crack counts from the matching
-// space, and returns the across-run mean and standard deviation. Runs
-// execute on the parallel worker pool; results are bit-identical for a given
-// rng regardless of the worker count, because each run's random stream is
-// seeded from a single root (parallel.SplitSeed) and run means are reduced
-// in run order.
-func EstimateCracks(g *bipartite.Graph, cfg Config, rng *rand.Rand) (*Estimate, error) {
-	return EstimateCracksCtx(context.Background(), g, cfg, rng)
-}
-
 // runScratch is one pool worker's reusable state: a rebindable sampler and
 // the worker's batching view of the shared budget. A scratch is owned by
 // exactly one ForEachWorker index, so chains reuse its memory run after run
@@ -486,14 +423,21 @@ type runScratch struct {
 	bud *budget.Worker
 }
 
-// EstimateCracksCtx is EstimateCracks under a work budget: every run charges
-// one operation per move proposal, so a deadline or operation limit aborts
-// the chains between sweeps instead of hanging. The runs execute on at most
-// parallel.Workers(ctx) goroutines and charge ONE shared budget atomically
-// (budget.Shared), so an operation limit bounds the whole simulation — the
-// same work the serial execution would have done — not each run separately.
-// The first budget error (by run index) is returned verbatim, so it stays
-// degradable for the caller's cascade; no partial estimate is produced.
+// EstimateCracksCtx runs the full simulation of Section 7.1: cfg.Runs
+// independent runs, each drawing cfg.Samples crack counts from the matching
+// space, and returns the across-run mean and standard deviation. Results are
+// bit-identical for a given rng regardless of the worker count, because each
+// run's random stream is seeded from a single root (parallel.SplitSeed) and
+// run means are reduced in run order.
+//
+// Every run charges one operation per move proposal, so a deadline or
+// operation limit aborts the chains between sweeps instead of hanging. The
+// runs execute on at most parallel.Workers(ctx) goroutines and charge ONE
+// shared budget atomically (budget.Shared), so an operation limit bounds the
+// whole simulation — the same work the serial execution would have done —
+// not each run separately. The first budget error (by run index) is returned
+// verbatim, so it stays degradable for the caller's cascade; no partial
+// estimate is produced.
 func EstimateCracksCtx(ctx context.Context, g *bipartite.Graph, cfg Config, rng *rand.Rand) (*Estimate, error) {
 	cfg = cfg.withDefaults()
 	est := &Estimate{
@@ -508,7 +452,7 @@ func EstimateCracksCtx(ctx context.Context, g *bipartite.Graph, cfg Config, rng 
 		scratch[w].bud = shared.Worker()
 	}
 	err := parallel.ForEachWorker(ctx, workers, cfg.Runs, func(worker, run int) error {
-		mean, err := simulateRun(g, cfg, parallel.SplitSeed(root, uint64(run)), &scratch[worker])
+		mean, err := simulateRun(ctx, g, cfg, parallel.SplitSeed(root, uint64(run)), &scratch[worker])
 		if err != nil {
 			return fmt.Errorf("matching: run %d: %w", run, err)
 		}
@@ -527,18 +471,17 @@ func EstimateCracksCtx(ctx context.Context, g *bipartite.Graph, cfg Config, rng 
 // scratch, charging the budget one operation per proposal (n per sweep).
 // Everything the run computes is a pure function of (g, cfg, seed); the
 // scratch only supplies reusable memory.
-func simulateRun(g *bipartite.Graph, cfg Config, seed int64, sc *runScratch) (float64, error) {
+func simulateRun(ctx context.Context, g *bipartite.Graph, cfg Config, seed int64, sc *runScratch) (float64, error) {
 	bud := sc.bud
 	if err := bud.Check(); err != nil {
 		return 0, err
 	}
 	sweepCost := int64(g.Items())
 	s := &sc.s
-	if err := s.Reset(g, seed); err != nil {
+	if err := s.Reset(ctx, g, seed); err != nil {
 		return 0, err
 	}
 	s.PaperMoves = cfg.PaperMoves
-	s.BatchK = cfg.BatchK
 	reseed := func() error {
 		s.reseed()
 		for i := 0; i < cfg.SeedSweeps; i++ {
@@ -575,9 +518,9 @@ func simulateRun(g *bipartite.Graph, cfg Config, seed int64, sc *runScratch) (fl
 
 // ExpectedCracksEnumerated computes the exact expected crack count of a small
 // explicit graph by exhaustive enumeration — ground truth for sampler tests.
-func ExpectedCracksEnumerated(e *bipartite.Explicit) (float64, error) {
+func ExpectedCracksEnumerated(ctx context.Context, e *bipartite.Explicit) (float64, error) {
 	total, sum := 0, 0
-	err := e.EnumeratePerfectMatchings(0, func(match []int) {
+	err := e.EnumeratePerfectMatchingsCtx(ctx, 0, func(match []int) {
 		total++
 		for w, x := range match {
 			if w == x {

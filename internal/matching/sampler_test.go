@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestSamplerIgnorantMatchesLemma1(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ft := mustTable(t, 20, []int{2, 5, 9, 14, 17, 19, 3, 11})
 	g := buildGraph(t, belief.Ignorant(8), ft)
-	est, err := EstimateCracks(g, Config{Samples: 2000, Runs: 3}, rng)
+	est, err := EstimateCracksCtx(context.Background(), g, Config{Samples: 2000, Runs: 3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestSamplerPointValuedMatchesLemma3(t *testing.T) {
 	// Groups: sizes 3, 2, 3 -> g = 3.
 	ft := mustTable(t, 20, []int{4, 4, 4, 9, 9, 15, 15, 15})
 	g := buildGraph(t, belief.PointValued(ft.Frequencies()), ft)
-	est, err := EstimateCracks(g, Config{Samples: 2000, Runs: 3}, rng)
+	est, err := EstimateCracksCtx(context.Background(), g, Config{Samples: 2000, Runs: 3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestSamplerFigure4aChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := buildGraph(t, bf, ft)
-	est, err := EstimateCracks(g, Config{Samples: 3000, Runs: 3}, rng)
+	est, err := EstimateCracksCtx(context.Background(), g, Config{Samples: 3000, Runs: 3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +90,11 @@ func TestSamplerMatchesExactOnRandomGraphs(t *testing.T) {
 		ft := mustTable(t, m, counts)
 		bf := belief.RandomCompliant(ft.Frequencies(), 0.2, rng)
 		g := buildGraph(t, bf, ft)
-		exact, err := core.ExactExpectedCracks(g.ToExplicit())
+		exact, err := core.ExactExpectedCracksCtx(context.Background(), g.ToExplicit())
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateCracks(g, Config{Samples: 3000, Runs: 3}, rng)
+		est, err := EstimateCracksCtx(context.Background(), g, Config{Samples: 3000, Runs: 3}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,17 +119,19 @@ func TestSamplerAlphaCompliantSeedsGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := buildGraph(t, pert, ft)
-	if !g.Feasible() {
+	if ok, err := g.Feasible(context.Background()); err != nil {
+		t.Fatal(err)
+	} else if !ok {
 		t.Skip("perturbed graph infeasible for this seed; nothing to sample")
 	}
 	if _, err := g.IdentityMatching(); err == nil {
 		t.Fatal("test needs a graph without the identity matching")
 	}
-	est, err := EstimateCracks(g, Config{Samples: 1500, Runs: 2}, rng)
+	est, err := EstimateCracksCtx(context.Background(), g, Config{Samples: 1500, Runs: 2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := core.ExactExpectedCracks(g.ToExplicit())
+	exact, err := core.ExactExpectedCracksCtx(context.Background(), g.ToExplicit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +144,11 @@ func TestSamplerInfeasible(t *testing.T) {
 	ft := mustTable(t, 10, []int{2, 6})
 	bf := belief.MustNew([]belief.Interval{{Lo: 0.6, Hi: 0.6}, {Lo: 0.6, Hi: 0.6}})
 	g := buildGraph(t, bf, ft)
-	if _, err := NewSampler(g, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("NewSampler on infeasible graph: want error")
 	}
-	if _, err := EstimateCracks(g, Config{}, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("EstimateCracks on infeasible graph: want error")
+	if _, err := EstimateCracksCtx(context.Background(), g, Config{}, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("EstimateCracksCtx on infeasible graph: want error")
 	}
 }
 
@@ -155,7 +158,7 @@ func TestSamplerInvariants(t *testing.T) {
 	ft := mustTable(t, 30, []int{3, 3, 9, 9, 14, 20, 20, 26})
 	bf := belief.RandomCompliant(ft.Frequencies(), 0.25, rng)
 	g := buildGraph(t, bf, ft)
-	s, err := NewSampler(g, rng)
+	s, err := NewSampler(context.Background(), g, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +183,14 @@ func TestSamplerInvariants(t *testing.T) {
 }
 
 func TestExpectedCracksEnumerated(t *testing.T) {
-	got, err := ExpectedCracksEnumerated(bipartite.Complete(4))
+	got, err := ExpectedCracksEnumerated(context.Background(), bipartite.Complete(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-1) > 1e-12 {
 		t.Errorf("E(X) on K_4 = %v, want 1", got)
 	}
-	if _, err := ExpectedCracksEnumerated(bipartite.MustExplicit(2, [][]int{{1}, {1}})); err == nil {
+	if _, err := ExpectedCracksEnumerated(context.Background(), bipartite.MustExplicit(2, [][]int{{1}, {1}})); err == nil {
 		t.Error("infeasible graph: want error")
 	}
 }
@@ -218,7 +221,7 @@ func TestSamplerDistributionMatchesExactSampler(t *testing.T) {
 	ft := mustTable(t, 30, []int{4, 4, 9, 9, 9, 16, 16, 23})
 	bf := belief.RandomCompliant(ft.Frequencies(), 0.25, rng)
 	g := buildGraph(t, bf, ft)
-	exact, err := bipartite.NewExactSampler(g.ToExplicit())
+	exact, err := bipartite.NewExactSamplerCtx(context.Background(), g.ToExplicit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +237,7 @@ func TestSamplerDistributionMatchesExactSampler(t *testing.T) {
 		}
 		exactHist[cracks]++
 	}
-	s, err := NewSampler(g, rng)
+	s, err := NewSampler(context.Background(), g, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package perturb
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,7 +90,10 @@ func TestEstimatePairSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truePairs := itemsetrisk.ComputePairs(db)
+	truePairs, err := itemsetrisk.ComputePairsCtx(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	trueCounts := db.SupportCounts()
 	params := Params{Keep: 0.9, Insert: 0.03}
 	const reps = 20
@@ -102,7 +106,10 @@ func TestEstimatePairSupport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs := itemsetrisk.ComputePairs(out)
+		obs, err := itemsetrisk.ComputePairsCtx(context.Background(), out)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range pairs {
 			est, err := EstimatePairSupport(obs.Support(p.a, p.b),
 				float64(trueCounts[p.a]), float64(trueCounts[p.b]), db.Transactions(), params)

@@ -126,18 +126,13 @@ func (r *Result) FractionPointValued() float64 { return float64(r.Groups) / floa
 // FractionOEFull returns OEFull/n.
 func (r *Result) FractionOEFull() float64 { return r.OEFull / float64(r.Items) }
 
-// AssessRisk executes Algorithm Assess-Risk (Figure 8) on the frequency
-// table of the database under assessment.
-func AssessRisk(ft *dataset.FrequencyTable, opts Options) (*Result, error) {
-	return AssessRiskCtx(context.Background(), ft, opts)
-}
-
-// AssessRiskCtx is AssessRisk under a work budget. The cheap early stages
-// (Lemma 3 worst case, one O-estimate) run to completion or error; the α
-// binary search — the only stage whose cost is a multiple of the domain
-// size — degrades gracefully: when the budget runs out mid-search the
-// result carries the largest α proven within tolerance so far, Degraded is
-// set, and the verdict is taken conservatively against that lower bound.
+// AssessRiskCtx executes Algorithm Assess-Risk (Figure 8) on the frequency
+// table of the database under assessment. The cheap early stages (Lemma 3
+// worst case, one O-estimate) run to completion or error; the α binary
+// search — the only stage whose cost is a multiple of the domain size —
+// degrades gracefully: when the budget runs out mid-search the result
+// carries the largest α proven within tolerance so far, Degraded is set,
+// and the verdict is taken conservatively against that lower bound.
 func AssessRiskCtx(ctx context.Context, ft *dataset.FrequencyTable, opts Options) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -295,13 +290,11 @@ func newAlphaSearchGraph(ft *dataset.FrequencyTable, g *bipartite.Graph, runs in
 	n := ft.NItems
 	var contrib []float64
 	if biased {
-		oe, err := core.OEstimateGraph(g, core.OEOptions{})
-		if err != nil {
-			return nil, err
-		}
+		// x's term of the plain O-estimate: 1/O_x where β is compliant.
+		inv := g.OutdegreeReciprocals()
 		contrib = make([]float64, n)
-		oe.Crackable.ForEach(func(x int) {
-			contrib[x] = 1 / float64(oe.Outdeg[x])
+		g.ComplianceSet().ForEach(func(x int) {
+			contrib[x] = inv[x]
 		})
 	}
 	for r := 0; r < runs; r++ {
@@ -330,17 +323,12 @@ func newAlphaSearchGraph(ft *dataset.FrequencyTable, g *bipartite.Graph, runs in
 	return s, nil
 }
 
-// OEAt returns the mean O-estimate across runs at compliancy level α: in each
-// run only the first ⌈αn⌉ items of the run's order count as compliant.
-func (s *AlphaSearch) OEAt(alpha float64) (float64, error) {
-	return s.OEAtCtx(context.Background(), alpha)
-}
-
-// OEAtCtx is OEAt under a work budget: each of the runs' O-estimates checks
-// the context's deadline and operation limit. The runs evaluate on the
-// parallel worker pool, each worker reusing one lazily-built mask buffer
-// across its items; the per-run values are reduced in run order, so the mean
-// is bit-identical at any worker count.
+// OEAtCtx returns the mean O-estimate across runs at compliancy level α: in
+// each run only the first ⌈αn⌉ items of the run's order count as compliant.
+// Each of the runs' O-estimates checks the context's deadline and operation
+// limit. The runs evaluate on the parallel worker pool, each worker reusing
+// one lazily-built mask buffer across its items; the per-run values are
+// reduced in run order, so the mean is bit-identical at any worker count.
 func (s *AlphaSearch) OEAtCtx(ctx context.Context, alpha float64) (float64, error) {
 	if alpha < 0 || alpha > 1 {
 		return 0, fmt.Errorf("recipe: alpha %v outside [0,1]", alpha)
@@ -392,18 +380,13 @@ func (s *AlphaSearch) oeOne(ctx context.Context, alpha float64, order []int, mas
 	return oe.Value, nil
 }
 
-// MaxAlphaWithin binary-searches the largest α whose averaged O-estimate is
-// within the given crack budget, to the given precision. The search is valid
-// because the nested compliant sets make OEAt monotone in α (Lemma 10).
-func (s *AlphaSearch) MaxAlphaWithin(crackBudget, precision float64) (float64, error) {
-	return s.MaxAlphaWithinCtx(context.Background(), crackBudget, precision)
-}
-
-// MaxAlphaWithinCtx is MaxAlphaWithin under a work budget. The whole search
-// shares one operation budget (runs × n charged per α evaluation), so a
-// budget.WithMaxOps limit or a context deadline can stop it between
-// iterations. On exhaustion it returns the best PROVEN α so far — the lower
-// bound of the bracketing invariant, safe because OEAt is monotone in α —
+// MaxAlphaWithinCtx binary-searches the largest α whose averaged O-estimate
+// is within the given crack budget, to the given precision. The search is
+// valid because the nested compliant sets make OEAtCtx monotone in α
+// (Lemma 10). The whole search shares one operation budget (runs × n
+// charged per α evaluation), so a budget.WithMaxOps limit or a context
+// deadline can stop it between iterations. On exhaustion it returns the
+// best PROVEN α so far — the lower bound of the bracketing invariant —
 // together with the budget error, so callers can keep the conservative
 // partial answer while recording the degradation.
 func (s *AlphaSearch) MaxAlphaWithinCtx(ctx context.Context, crackBudget, precision float64) (float64, error) {
@@ -444,13 +427,8 @@ func (s *AlphaSearch) MaxAlphaWithinCtx(ctx context.Context, crackBudget, precis
 	return lo, nil
 }
 
-// Curve evaluates OEAt on each α in alphas, returning O-estimates as
-// fractions of the domain — one series of Figure 11.
-func (s *AlphaSearch) Curve(alphas []float64) ([]float64, error) {
-	return s.CurveCtx(context.Background(), alphas)
-}
-
-// CurveCtx is Curve under a work budget, evaluated on the parallel worker
+// CurveCtx evaluates OEAtCtx on each α in alphas, returning O-estimates as
+// fractions of the domain — one series of Figure 11 — on the parallel worker
 // pool. The fan-out is the flattened α × run grid — every (point, subset)
 // O-estimate is an independent work item — so the pool stays saturated even
 // when the curve has more workers than α points. Each worker reuses one

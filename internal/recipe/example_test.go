@@ -1,6 +1,7 @@
 package recipe_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -11,10 +12,10 @@ import (
 // Assess-Risk on a database whose items all share one frequency: the
 // point-valued worst case (one expected crack) is already within a 25%
 // tolerance, so the recipe stops at step 2.
-func ExampleAssessRisk() {
+func ExampleAssessRiskCtx() {
 	counts := []int{7, 7, 7, 7, 7}
 	ft, _ := dataset.NewTable(20, counts)
-	res, _ := recipe.AssessRisk(ft, recipe.Options{
+	res, _ := recipe.AssessRiskCtx(context.Background(), ft, recipe.Options{
 		Tolerance: 0.25,
 		Rng:       rand.New(rand.NewSource(1)),
 	})

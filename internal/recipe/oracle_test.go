@@ -41,7 +41,7 @@ func TestCurveFullComplianceMatchesChainOE(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		curve, err := search.Curve([]float64{1})
+		curve, err := search.CurveCtx(context.Background(), []float64{1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestCurveFullComplianceMatchesChainOE(t *testing.T) {
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("%+v: Curve(1)·n = %v, closed-form OE = %v", spec, got, want)
 		}
-		at, err := search.OEAt(1)
+		at, err := search.OEAtCtx(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package recipe
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,13 +23,13 @@ func mustTable(t testing.TB, m int, counts []int) *dataset.FrequencyTable {
 func TestOptionsValidation(t *testing.T) {
 	ft := mustTable(t, 10, []int{5, 5})
 	rng := rand.New(rand.NewSource(1))
-	if _, err := AssessRisk(ft, Options{Tolerance: 0, Rng: rng}); err == nil {
+	if _, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: 0, Rng: rng}); err == nil {
 		t.Error("tolerance 0: want error")
 	}
-	if _, err := AssessRisk(ft, Options{Tolerance: 1, Rng: rng}); err == nil {
+	if _, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: 1, Rng: rng}); err == nil {
 		t.Error("tolerance 1: want error")
 	}
-	if _, err := AssessRisk(ft, Options{Tolerance: 0.5}); err == nil {
+	if _, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: 0.5}); err == nil {
 		t.Error("missing rng: want error")
 	}
 }
@@ -40,7 +41,7 @@ func TestStage1PointValuedDisclose(t *testing.T) {
 		counts[i] = 7
 	}
 	ft := mustTable(t, 20, counts)
-	res, err := AssessRisk(ft, Options{Tolerance: 0.3, Rng: rand.New(rand.NewSource(2))})
+	res, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: 0.3, Rng: rand.New(rand.NewSource(2))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestStage2IntervalDisclose(t *testing.T) {
 		counts[i] = 30 + i
 	}
 	ft := mustTable(t, m, counts)
-	res, err := AssessRisk(ft, Options{Tolerance: 0.5, Rng: rand.New(rand.NewSource(3))})
+	res, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: 0.5, Rng: rand.New(rand.NewSource(3))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestStage3AlphaSearch(t *testing.T) {
 	}
 	ft := mustTable(t, 1000, counts)
 	tau := 0.1
-	res, err := AssessRisk(ft, Options{Tolerance: tau, Rng: rand.New(rand.NewSource(4))})
+	res, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: tau, Rng: rand.New(rand.NewSource(4))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestStage3AlphaSearch(t *testing.T) {
 		t.Error("α_max ≈ 0.3 < default comfort 0.5: want withhold")
 	}
 	// With a generous comfort level the same evidence discloses.
-	res2, err := AssessRisk(ft, Options{Tolerance: tau, AlphaComfort: 0.2, Rng: rand.New(rand.NewSource(4))})
+	res2, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: tau, AlphaComfort: 0.2, Rng: rand.New(rand.NewSource(4))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestAlphaSearchMonotoneCurve(t *testing.T) {
 		t.Fatal(err)
 	}
 	alphas := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
-	curve, err := s.Curve(alphas)
+	curve, err := s.CurveCtx(context.Background(), alphas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +141,18 @@ func TestAlphaSearchMonotoneCurve(t *testing.T) {
 	}
 	// Binary search against the curve: α_max for a mid-curve budget.
 	budget := curve[3] * float64(ft.NItems) // budget hit exactly at α=0.6
-	amax, err := s.MaxAlphaWithin(budget, 1.0/128)
+	amax, err := s.MaxAlphaWithinCtx(context.Background(), budget, 1.0/128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if amax < 0.55 || amax > 0.85 {
-		t.Errorf("MaxAlphaWithin = %v, want near 0.6", amax)
+		t.Errorf("MaxAlphaWithinCtx = %v, want near 0.6", amax)
 	}
 	// A huge budget saturates at 1.
-	if amax, _ := s.MaxAlphaWithin(float64(ft.NItems), 1.0/64); amax != 1 {
+	if amax, _ := s.MaxAlphaWithinCtx(context.Background(), float64(ft.NItems), 1.0/64); amax != 1 {
 		t.Errorf("unbounded budget: α_max = %v, want 1", amax)
 	}
-	if _, err := s.OEAt(-0.1); err == nil {
+	if _, err := s.OEAtCtx(context.Background(), -0.1); err == nil {
 		t.Error("OEAt(-0.1): want error")
 	}
 }
@@ -266,11 +267,11 @@ func TestAlphaSearchBiasedDominatesUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range []float64{0.25, 0.5, 0.75} {
-		u, err := uni.OEAt(a)
+		u, err := uni.OEAtCtx(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := bia.OEAt(a)
+		b, err := bia.OEAtCtx(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,11 +280,11 @@ func TestAlphaSearchBiasedDominatesUniform(t *testing.T) {
 		}
 	}
 	budget := 0.1 * float64(ft.NItems)
-	uMax, err := uni.MaxAlphaWithin(budget, 1.0/64)
+	uMax, err := uni.MaxAlphaWithinCtx(context.Background(), budget, 1.0/64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bMax, err := bia.MaxAlphaWithin(budget, 1.0/64)
+	bMax, err := bia.MaxAlphaWithinCtx(context.Background(), budget, 1.0/64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +292,11 @@ func TestAlphaSearchBiasedDominatesUniform(t *testing.T) {
 		t.Errorf("biased α_max %v below uniform %v", bMax, uMax)
 	}
 	// Biased curves are super-linear: the midpoint sits below the chord.
-	full, err := bia.OEAt(1)
+	full, err := bia.OEAtCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := bia.OEAt(0.5)
+	mid, err := bia.OEAtCtx(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,19 +120,14 @@ func BuildGraph(r *Relation, info PartialInfo) *bipartite.Explicit {
 	return &bipartite.Explicit{N: n, Adj: adj}
 }
 
-// AssessDisclosure runs the O-estimate (with propagation) on the knowledge-
-// induced graph and reports the expected number of re-identified
+// AssessDisclosureCtx runs the O-estimate (with propagation) on the
+// knowledge-induced graph and reports the expected number of re-identified
 // individuals. For graphs small enough (n ≤ bipartite.MaxExactN) exact can
-// be requested, which adds the permanent-based expectation.
-func AssessDisclosure(r *Relation, info PartialInfo, exact bool) (*DisclosureReport, error) {
-	return AssessDisclosureCtx(context.Background(), r, info, exact)
-}
-
-// AssessDisclosureCtx is AssessDisclosure under a work budget. The
-// O-estimate always completes; the optional permanent-based exact value is
-// the expensive part and degrades gracefully — when its budget runs out the
-// report is returned without it (HasExact false, Degraded set) instead of
-// failing, since the O-estimate already answers the question.
+// be requested, which adds the permanent-based expectation. The O-estimate
+// always completes; the optional exact value is the expensive part and
+// degrades gracefully — when its budget runs out the report is returned
+// without it (HasExact false, Degraded set) instead of failing, since the
+// O-estimate already answers the question.
 func AssessDisclosureCtx(ctx context.Context, r *Relation, info PartialInfo, exact bool) (*DisclosureReport, error) {
 	g := BuildGraph(r, info)
 	rep := &DisclosureReport{Individuals: r.Records()}

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -182,7 +183,7 @@ func TestAssessDisclosurePaperExample(t *testing.T) {
 	_ = mary.Range(s, "age", "30-35", "35-40")
 	info := PartialInfo{0: john, 1: mary}
 
-	rep, err := AssessDisclosure(r, info, true)
+	rep, err := AssessDisclosureCtx(context.Background(), r, info, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestAssessDisclosurePaperExample(t *testing.T) {
 		t.Errorf("OEstimate %v far from exact %v", rep.OEstimate, rep.Exact)
 	}
 	// With no information at all, Lemma 1: exactly 1 crack expected.
-	none, err := AssessDisclosure(r, PartialInfo{}, true)
+	none, err := AssessDisclosureCtx(context.Background(), r, PartialInfo{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestAssessDisclosureInfeasibleKnowledge(t *testing.T) {
 	_ = wrong.Exact(s, "ethnicity", "Chinese")
 	_ = wrong.Exact(s, "car", "BMW")
 	info := PartialInfo{0: wrong}
-	rep, err := AssessDisclosure(r, info, false)
+	rep, err := AssessDisclosureCtx(context.Background(), r, info, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +263,11 @@ func TestExplicitOEstimateAgainstCompactOnRelations(t *testing.T) {
 			}
 		}
 		g := BuildGraph(r, info)
-		oe, err := core.OEstimateExplicit(g, core.OEOptions{Propagate: true})
+		oe, err := core.OEstimateExplicitCtx(context.Background(), g, core.OEOptions{Propagate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := core.ExactExpectedCracks(g)
+		exact, err := core.ExactExpectedCracksCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
