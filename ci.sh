@@ -7,7 +7,8 @@
 #   ./ci.sh -bench   additionally run the parallel-engine benchmarks at
 #                    GOMAXPROCS=1 and GOMAXPROCS=nproc plus the kernel
 #                    microbenchmarks (bitset O-estimate scan vs the boolean
-#                    loop it replaced) and emit BENCH_parallel.json (one run
+#                    loop it replaced; one PUMSB alpha binary search at
+#                    riskd's defaults) and emit BENCH_parallel.json (one run
 #                    object per gomaxprocs with ns/op and speedup vs serial
 #                    per worker count, a microbenchmarks section, and — on
 #                    single-core machines — a flat_parallel_warning note)
@@ -147,9 +148,12 @@ if [ -n "$bench" ]; then
 	fi
 	# Kernel microbenchmarks: the word-parallel O-estimate scan vs the
 	# historical boolean loop it replaced, recorded with the bitset kernel's
-	# speedup so the perf trajectory pins the win (target: >= 2x).
+	# speedup so the perf trajectory pins the win (target: >= 2x), and one
+	# alpha binary search on the PUMSB profile (the search a pumsb_cold
+	# request runs), recorded with its allocations.
 	echo "-- kernel microbenchmarks --"
-	go test -run '^$' -bench 'BenchmarkOEstimateScan' -benchtime 2s ./internal/core/ |
+	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin' -benchtime 2s \
+		./internal/core/ ./internal/recipe/ |
 		tee BENCH_micro.txt |
 		awk '
 		/^BenchmarkOEstimateScan\// {
@@ -158,8 +162,12 @@ if [ -n "$bench" ]; then
 			sub(/-[0-9]+$/, "", impl)
 			ns[impl] = $3 + 0
 		}
+		/^BenchmarkMaxAlphaWithin(-[0-9]+)?[ \t]/ {
+			ns["search"] = $3 + 0
+			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs = $i + 0
+		}
 		END {
-			if (!("impl=bitset" in ns) || !("impl=bools" in ns)) {
+			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns)) {
 				print "ci.sh: no microbenchmark output to parse" > "/dev/stderr"
 				exit 1
 			}
@@ -168,7 +176,9 @@ if [ -n "$bench" ]; then
 			printf "    \"OEstimateScan\": {\n"
 			printf "      \"impl=bools\": {\"ns_per_op\": %.0f},\n", ns["impl=bools"]
 			printf "      \"impl=bitset\": {\"ns_per_op\": %.0f, \"speedup_vs_bools\": %.3f}\n", ns["impl=bitset"], sp
-			printf "    }\n  },\n"
+			printf "    },\n"
+			printf "    \"MaxAlphaWithin\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d}\n", ns["search"], allocs
+			printf "  },\n"
 		}' >>BENCH_parallel.tmp
 	printf '  "runs": [' >>BENCH_parallel.tmp
 	first_run=1

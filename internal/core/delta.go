@@ -23,9 +23,9 @@ import (
 // adding +0.0 never perturbs a non-negative partial sum.
 //
 // OEDelta covers the plain estimate only — no Mask, Interest, or Propagate.
-// The recipe's α search masks items per evaluation and so goes through
-// OEstimateGraphCtx directly (still against the patched graph, still without
-// a rebuild); propagation rewrites outdegrees globally and has no restricted
+// The recipe's α search masks items per evaluation and so scans the
+// GraphTermsCtx terms of the patched graph instead (still without a
+// rebuild); propagation rewrites outdegrees globally and has no restricted
 // form.
 type OEDelta struct {
 	g       *bipartite.Graph

@@ -84,15 +84,16 @@ func OEstimateCtx(ctx context.Context, bf *belief.Function, ft *dataset.Frequenc
 // This is the "second level" generalization the paper highlights in
 // Section 8.1: once a bipartite consistency graph is set up — by belief
 // functions over frequencies or by any other kind of partial information —
-// the estimate applies unchanged. One operation is charged per item scanned,
-// one 64-item word at a time.
+// the estimate applies unchanged. It is GraphTermsCtx and a masked scan of
+// the terms back to back, under one budget: propagation's own charges plus
+// n when propagating, then one operation per item scanned, one 64-item word
+// at a time.
 //
-// Both paths run as word-parallel kernels (DESIGN.md §16): the graph's
-// packed compliance words are ANDed with the option masks, the crackable
-// words fall out of the same AND, and only surviving bits are visited — in
-// ascending item order via TrailingZeros64, so the float accumulation order,
-// and therefore every bit of Value, matches the historical item-at-a-time
-// loop (pinned by TestOEstimateBitsetMatchesReference).
+// The scan is a word-parallel kernel (DESIGN.md §16): the crackable words
+// are ANDed with the option masks and only surviving bits are visited — in
+// ascending item order via TrailingZeros64, so the float accumulation
+// order, and therefore every bit of Value, matches the historical
+// item-at-a-time loop (pinned by TestOEstimateBitsetMatchesReference).
 func OEstimateGraphCtx(ctx context.Context, g *bipartite.Graph, opts OEOptions) (*OEResult, error) {
 	n := g.Items()
 	if err := checkMask("mask", opts.Mask, n); err != nil {
@@ -105,26 +106,58 @@ func OEstimateGraphCtx(ctx context.Context, g *bipartite.Graph, opts OEOptions) 
 	if err := bud.Check(); err != nil {
 		return nil, err
 	}
-	var maskW, intW []uint64
-	if !opts.Mask.IsZero() {
-		maskW = opts.Mask.Words()
+	t, err := graphTerms(ctx, bud, g, opts.Propagate)
+	if err != nil {
+		return nil, err
 	}
-	if !opts.Interest.IsZero() {
-		intW = opts.Interest.Words()
+	res, err := t.estimate(bud, opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: O-estimate: %w", err)
 	}
-	res := &OEResult{Crackable: bitset.New(n)}
+	return res, nil
+}
 
-	if !opts.Propagate {
-		res.Outdeg = g.Outdegrees()
-		value, err := oeScanWords(bud, n, g.ComplianceSet().Words(), maskW, intW,
-			res.Crackable.Words(), g.OutdegreeReciprocals())
-		if err != nil {
-			return nil, fmt.Errorf("core: O-estimate: %w", err)
-		}
-		res.Value = value
-		return res, nil
-	}
+// OETerms is the once-per-graph half of the O-estimate: which items can
+// contribute and what each one adds. Degree-1 propagation, when asked for,
+// runs here, so any number of masks can be summed against one propagation —
+// α-compliance only changes which items count, never the graph or its
+// propagation (Section 5.3). An OETerms is read-only once built; its slices
+// may be shared with the graph.
+type OETerms struct {
+	// Crackable holds the items that contribute when nothing is masked: the
+	// compliant items, or after propagation the crack-forced items plus the
+	// compliant items propagation left open.
+	Crackable bitset.Set
+	// Terms is each item's contribution: 1 for a crack-forced item (cracked
+	// in every consistent mapping), 1/O_x for an open compliant item, 0
+	// elsewhere.
+	Terms  []float64
+	Outdeg []int // per-item outdegree (post-propagation when enabled)
+	Forced int   // propagation-forced edges (0 without propagation)
+	Rounds int   // propagation rounds (0 without propagation)
+}
 
+// GraphTermsCtx computes the O-estimate terms of a graph, propagating first
+// when propagate is set. Propagation charges its own budget plus one
+// operation per item; without it the terms are the graph's compliance set
+// and reciprocal outdegrees.
+func GraphTermsCtx(ctx context.Context, g *bipartite.Graph, propagate bool) (*OETerms, error) {
+	bud := budget.New(ctx, budget.Config{CheckEvery: 4096})
+	if err := bud.Check(); err != nil {
+		return nil, err
+	}
+	return graphTerms(ctx, bud, g, propagate)
+}
+
+func graphTerms(ctx context.Context, bud *budget.Budget, g *bipartite.Graph, propagate bool) (*OETerms, error) {
+	n := g.Items()
+	comp := g.ComplianceSet()
+	if !propagate {
+		inv := g.OutdegreeReciprocals()
+		terms := make([]float64, n)
+		comp.ForEach(func(x int) { terms[x] = inv[x] })
+		return &OETerms{Crackable: comp, Terms: terms, Outdeg: g.Outdegrees()}, nil
+	}
 	p, err := g.PropagateCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -132,27 +165,89 @@ func OEstimateGraphCtx(ctx context.Context, g *bipartite.Graph, opts OEOptions) 
 	if err := bud.Charge(int64(n)); err != nil { // propagation visits every item at least once
 		return nil, fmt.Errorf("core: O-estimate propagation: %w", err)
 	}
-	res.Outdeg = p.Outdeg
-	res.Forced = len(p.Forced)
-	res.Rounds = p.Rounds
-	value, err := oePropagatedWords(bud, n, g.ComplianceSet().Words(), maskW, intW,
-		res.Crackable.Words(), p.Outdeg, p.Forced)
-	if err != nil {
-		return nil, fmt.Errorf("core: O-estimate: %w", err)
+	return propagatedTerms(comp, p), nil
+}
+
+// propagatedTerms classifies the items after propagation. The forced pairs
+// are packed into forced-item and consumed-anonymized-item words; then a
+// crack-forced item (forced onto its own anonymized twin) adds 1, a
+// compliant item neither forced nor robbed of its twin stays open and adds
+// 1/O_x with its post-propagation outdegree, and every other item adds
+// nothing — the four-way switch of the historical per-item loop.
+func propagatedTerms(comp bitset.Set, p *bipartite.Propagation) *OETerms {
+	n := comp.Len()
+	t := &OETerms{
+		Crackable: bitset.New(n),
+		Terms:     make([]float64, n),
+		Outdeg:    p.Outdeg,
+		Forced:    len(p.Forced),
+		Rounds:    p.Rounds,
 	}
-	res.Value = value
+	forced, consumed := bitset.New(n), bitset.New(n)
+	for _, fp := range p.Forced {
+		forced.Add(fp.Item)
+		consumed.Add(fp.Anon)
+		if fp.Anon == fp.Item {
+			t.Crackable.Add(fp.Item)
+			t.Terms[fp.Item] = 1
+		}
+	}
+	cw, fw, uw := t.Crackable.Words(), forced.Words(), consumed.Words()
+	for k, w := range comp.Words() {
+		cw[k] |= w &^ (fw[k] | uw[k])
+	}
+	t.Crackable.ForEach(func(x int) {
+		if !forced.Contains(x) { // open, not crack-forced
+			t.Terms[x] = 1 / float64(p.Outdeg[x])
+		}
+	})
+	return t
+}
+
+// SumCtx is the per-mask half of the O-estimate: the terms summed over
+// Crackable ∩ mask in ascending item order, one operation charged per item.
+// A zero mask counts every crackable item. It only reads t, so concurrent
+// sums over one OETerms are safe; the α search runs one per (level, run).
+func (t *OETerms) SumCtx(ctx context.Context, mask bitset.Set) (float64, error) {
+	n := len(t.Terms)
+	if err := checkMask("mask", mask, n); err != nil {
+		return 0, err
+	}
+	bud := budget.New(ctx, budget.Config{CheckEvery: 4096})
+	if err := bud.Check(); err != nil {
+		return 0, err
+	}
+	v, err := oeScanWords(bud, n, t.Crackable.Words(), mask.Words(), nil, nil, t.Terms)
+	if err != nil {
+		return 0, fmt.Errorf("core: O-estimate: %w", err)
+	}
+	return v, nil
+}
+
+// estimate sums the terms under the option masks into a full result; the
+// caller has validated the masks against the domain.
+func (t *OETerms) estimate(bud *budget.Budget, opts OEOptions) (*OEResult, error) {
+	n := len(t.Terms)
+	res := &OEResult{Outdeg: t.Outdeg, Crackable: bitset.New(n), Forced: t.Forced, Rounds: t.Rounds}
+	v, err := oeScanWords(bud, n, t.Crackable.Words(), opts.Mask.Words(), opts.Interest.Words(),
+		res.Crackable.Words(), t.Terms)
+	if err != nil {
+		return nil, err
+	}
+	res.Value = v
 	return res, nil
 }
 
-// oeScanWords is the plain (non-propagated) O-estimate kernel: for every
-// 64-item word, crackable = compliant & mask, and the reciprocal outdegrees
-// of the counted (crackable & interest) bits are summed in ascending item
-// order. comp must have its tail bits clear, which bounds every derived word
-// by the domain; crack is overwritten. One operation per item is charged,
-// 64 at a time, keeping op totals comparable to the per-item loop.
-func oeScanWords(bud *budget.Budget, n int, comp, maskW, intW, crack []uint64, inv []float64) (float64, error) {
+// oeScanWords is the one O-estimate scan kernel: for every 64-item word,
+// crackable & mask is the word's crackable output, and the terms of its
+// counted (crackable & mask & interest) bits are summed in ascending item
+// order. nil maskW or intW means no restriction, and a nil crack skips the
+// output. crackable must have its tail bits clear, which bounds every
+// derived word by the domain. One operation per item is charged, 64 at a
+// time, keeping op totals comparable to the per-item loop.
+func oeScanWords(bud *budget.Budget, n int, crackable, maskW, intW, crack []uint64, terms []float64) (float64, error) {
 	value := 0.0
-	for k, w := range comp {
+	for k, w := range crackable {
 		width := int64(n - k<<6)
 		if width > 64 {
 			width = 64
@@ -163,71 +258,16 @@ func oeScanWords(bud *budget.Budget, n int, comp, maskW, intW, crack []uint64, i
 		if maskW != nil {
 			w &= maskW[k]
 		}
-		crack[k] = w
+		if crack != nil {
+			crack[k] = w
+		}
 		if intW != nil {
 			w &= intW[k]
 		}
 		base := k << 6
 		for w != 0 {
-			value += inv[base+bits.TrailingZeros64(w)]
+			value += terms[base+bits.TrailingZeros64(w)]
 			w &= w - 1
-		}
-	}
-	return value, nil
-}
-
-// oePropagatedWords is the post-propagation O-estimate kernel. The forced
-// pairs are first packed into three word vectors — forced items, consumed
-// anonymized items, and crack-forced items (fp.Anon == fp.Item, a subset of
-// the forced items) — and then one pass classifies 64 items per word:
-//
-//	addOne = crackForced & mask            // cracked in every mapping: +1
-//	addInv = comp &^ (forced|consumed) & mask  // still open: +1/O_x
-//
-// exactly the four-way switch of the historical per-item loop. Both kinds
-// are crackable; only interest-counted bits contribute to the value, visited
-// in ascending item order so the mixed +1/+1/O_x accumulation keeps its
-// historical float ordering.
-func oePropagatedWords(bud *budget.Budget, n int, comp, maskW, intW, crack []uint64, outdeg []int, forcedPairs []bipartite.ForcedPair) (float64, error) {
-	nw := bitset.WordsFor(n)
-	forced := make([]uint64, nw)
-	consumed := make([]uint64, nw)
-	crackF := make([]uint64, nw)
-	for _, fp := range forcedPairs {
-		forced[fp.Item>>6] |= 1 << uint(fp.Item&63)
-		consumed[fp.Anon>>6] |= 1 << uint(fp.Anon&63)
-		if fp.Anon == fp.Item {
-			crackF[fp.Item>>6] |= 1 << uint(fp.Item&63)
-		}
-	}
-	value := 0.0
-	for k := 0; k < nw; k++ {
-		width := int64(n - k<<6)
-		if width > 64 {
-			width = 64
-		}
-		if err := bud.Charge(width); err != nil {
-			return 0, err
-		}
-		m := ^uint64(0)
-		if maskW != nil {
-			m = maskW[k]
-		}
-		addOne := crackF[k] & m
-		addInv := comp[k] &^ (forced[k] | consumed[k]) & m
-		crack[k] = addOne | addInv
-		if intW != nil {
-			addOne &= intW[k]
-			addInv &= intW[k]
-		}
-		base := k << 6
-		for u := addOne | addInv; u != 0; u &= u - 1 {
-			low := u & (^u + 1)
-			if addOne&low != 0 {
-				value++ // cracked in every consistent mapping
-			} else {
-				value += 1 / float64(outdeg[base+bits.TrailingZeros64(u)])
-			}
 		}
 	}
 	return value, nil

@@ -16,10 +16,10 @@ import (
 // partial information, OE = Σ 1/O_x over the items whose own anonymized
 // counterpart remains reachable. Options behave as in OEstimateGraphCtx, and
 // so does the budget: one operation per edge scanned plus the propagation's
-// own charges. The summation runs on the same word-parallel kernels as the
-// interval-structured path; only the compliance words (here the adjacency
-// diagonal) and the reciprocals (computed from the scanned indegrees) are
-// sourced differently.
+// own charges. The terms and the summation are those of the
+// interval-structured path (OETerms, one scan kernel); only the compliance
+// words (here the adjacency diagonal) and the outdegrees (the scanned
+// indegrees) are sourced differently.
 func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOptions) (*OEResult, error) {
 	n := e.N
 	if err := checkMask("mask", opts.Mask, n); err != nil {
@@ -32,14 +32,6 @@ func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOpt
 	if err := bud.Check(); err != nil {
 		return nil, err
 	}
-	var maskW, intW []uint64
-	if !opts.Mask.IsZero() {
-		maskW = opts.Mask.Words()
-	}
-	if !opts.Interest.IsZero() {
-		intW = opts.Interest.Words()
-	}
-	res := &OEResult{Crackable: bitset.New(n)}
 
 	indeg := make([]int, n)
 	diag := bitset.New(n)
@@ -56,12 +48,18 @@ func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOpt
 		}
 	}
 
-	if !opts.Propagate {
-		res.Outdeg = indeg
+	var t *OETerms
+	if opts.Propagate {
+		p, err := e.PropagateCtx(ctx)
+		if err != nil {
+			return nil, err
+		}
+		t = propagatedTerms(diag, p)
+	} else {
 		// Reciprocals of the freshly scanned indegrees, restricted to the
 		// diagonal (diag implies indeg >= 1): the same divisions the per-item
 		// loop performed, hoisted out of the masked scan.
-		inv := make([]float64, n)
+		t = &OETerms{Crackable: diag, Terms: make([]float64, n), Outdeg: indeg}
 		for k, w := range diagW {
 			if err := bud.Check(); err != nil {
 				return nil, fmt.Errorf("core: explicit O-estimate: %w", err)
@@ -69,28 +67,13 @@ func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOpt
 			base := k << 6
 			for ; w != 0; w &= w - 1 {
 				x := base + bits.TrailingZeros64(w)
-				inv[x] = 1 / float64(indeg[x])
+				t.Terms[x] = 1 / float64(indeg[x])
 			}
 		}
-		value, err := oeScanWords(bud, n, diagW, maskW, intW, res.Crackable.Words(), inv)
-		if err != nil {
-			return nil, fmt.Errorf("core: explicit O-estimate: %w", err)
-		}
-		res.Value = value
-		return res, nil
 	}
-
-	p, err := e.PropagateCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res.Outdeg = p.Outdeg
-	res.Forced = len(p.Forced)
-	res.Rounds = p.Rounds
-	value, err := oePropagatedWords(bud, n, diagW, maskW, intW, res.Crackable.Words(), p.Outdeg, p.Forced)
+	res, err := t.estimate(bud, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: explicit O-estimate: %w", err)
 	}
-	res.Value = value
 	return res, nil
 }

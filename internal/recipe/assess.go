@@ -139,29 +139,29 @@ func AssessRiskCtx(ctx context.Context, ft *dataset.FrequencyTable, opts Options
 		return nil, err
 	}
 	gr := dataset.GroupItems(ft)
-	// The δ_med belief function and its consistency graph are built once,
-	// lazily, and shared between the step-6 O-estimate and the step-8 α
-	// search — Build is deterministic, so reusing the graph is bit-identical
-	// to the historical rebuild-per-evaluation and removes the dominant
-	// per-evaluation cost of the binary search.
-	var (
-		bf *belief.Function
-		g  *bipartite.Graph
-	)
+	// Step 6 builds the δ_med consistency graph and its O-estimate terms
+	// once, propagating when asked, and the step-8 α search scans those
+	// terms under each probe's mask. α-compliance only changes which items
+	// count, so one propagation — the dominant cost of a propagated
+	// O-estimate — serves every probe bit-identically.
+	var terms *core.OETerms
 	oeFull := func(ctx context.Context) (float64, error) {
-		bf = belief.UniformWidth(ft.Frequencies(), gr.MedianGap())
-		var err error
-		if g, err = bipartite.Build(bf, gr); err != nil {
-			return 0, err
-		}
-		oe, err := core.OEstimateGraphCtx(ctx, g, core.OEOptions{Propagate: opts.Propagate})
+		bf := belief.UniformWidth(ft.Frequencies(), gr.MedianGap())
+		g, err := bipartite.Build(bf, gr)
 		if err != nil {
 			return 0, err
 		}
-		return oe.Value, nil
+		if terms, err = core.GraphTermsCtx(ctx, g, opts.Propagate); err != nil {
+			return 0, err
+		}
+		return terms.SumCtx(ctx, bitset.Set{})
 	}
 	search := func(context.Context) (*AlphaSearch, error) {
-		return newAlphaSearchGraph(ft, g, opts.Runs, opts.Propagate, false, opts.Rng)
+		return &AlphaSearch{
+			n:      ft.NItems,
+			orders: uniformOrders(ft.NItems, opts.Runs, opts.Rng),
+			terms:  fixedTerms(terms),
+		}, nil
 	}
 	return assessStaged(ctx, ft.NItems, opts, gr, oeFull, search)
 }
@@ -214,9 +214,10 @@ func assessStaged(ctx context.Context, n int, opts Options, gr *dataset.Grouping
 	}
 
 	// Steps 8-9: binary search for α_max. Each run r holds a fixed random
-	// item order; the compliant set at level α is the order's first ⌈αn⌉
-	// items, so the sets are nested across α exactly as Lemma 10's
-	// monotonicity requires (Section 6.2).
+	// item order; the compliant set at level α is the order's first
+	// int(αn + 0.5) items (αn rounded to nearest, halves up), so the sets
+	// are nested across α exactly as Lemma 10's monotonicity requires
+	// (Section 6.2).
 	s, err := search(ctx)
 	if err != nil {
 		return nil, err
@@ -237,10 +238,25 @@ func assessStaged(ctx context.Context, n int, opts Options, gr *dataset.Grouping
 // compliant subsets, supporting both the recipe's binary search and the α
 // sweep of Figure 11.
 type AlphaSearch struct {
-	ft        *dataset.FrequencyTable
-	g         *bipartite.Graph // δ_med consistency graph, shared by all evaluations
-	orders    [][]int          // one item order per run; level α keeps the first ⌈αn⌉
-	propagate bool
+	n      int
+	orders [][]int // one item order per run; level α keeps the first int(αn + 0.5)
+	// terms yields the O-estimate terms every probe scans: the terms an
+	// assessment's step 6 already computed, or core.GraphTermsCtx run afresh
+	// on the δ_med graph, once per MaxAlphaWithinCtx, CurveCtx or OEAtCtx
+	// call under that call's context.
+	terms func(context.Context) (*core.OETerms, error)
+}
+
+// fixedTerms is the terms source of a search that reuses terms computed
+// before it.
+func fixedTerms(t *core.OETerms) func(context.Context) (*core.OETerms, error) {
+	return func(context.Context) (*core.OETerms, error) { return t, nil }
+}
+
+// freshTerms is the terms source of a search that computes its terms from g
+// on every call.
+func freshTerms(g *bipartite.Graph, propagate bool) func(context.Context) (*core.OETerms, error) {
+	return func(ctx context.Context) (*core.OETerms, error) { return core.GraphTermsCtx(ctx, g, propagate) }
 }
 
 // NewAlphaSearch prepares `runs` independent uniformly random item orders
@@ -270,38 +286,22 @@ func newAlphaSearch(ft *dataset.FrequencyTable, bf *belief.Function, runs int, p
 	if err != nil {
 		return nil, err
 	}
-	return newAlphaSearchGraph(ft, g, runs, propagate, biased, rng)
-}
-
-// newAlphaSearchGraph builds the search over a prebuilt consistency graph —
-// the graph the caller computed for the step-6 O-estimate, or the patched
-// graph a DeltaSession maintains. Every evaluation reads the graph instead
-// of rebuilding grouping and graph per (α, run) pair; since Build is a pure
-// function of (belief, grouping), the values are bit-identical to the
-// rebuild-per-evaluation path.
-func newAlphaSearchGraph(ft *dataset.FrequencyTable, g *bipartite.Graph, runs int, propagate, biased bool, rng *rand.Rand) (*AlphaSearch, error) {
-	if g.Items() != ft.NItems {
-		return nil, fmt.Errorf("recipe: graph domain %d != table domain %d", g.Items(), ft.NItems)
-	}
 	if runs <= 0 {
 		runs = 5
 	}
-	s := &AlphaSearch{ft: ft, g: g, propagate: propagate}
 	n := ft.NItems
-	var contrib []float64
-	if biased {
-		// x's term of the plain O-estimate: 1/O_x where β is compliant.
-		inv := g.OutdegreeReciprocals()
-		contrib = make([]float64, n)
-		g.ComplianceSet().ForEach(func(x int) {
-			contrib[x] = inv[x]
-		})
+	s := &AlphaSearch{n: n, terms: freshTerms(g, propagate)}
+	if !biased {
+		s.orders = uniformOrders(n, runs, rng)
+		return s, nil
 	}
+	// x's term of the plain O-estimate: 1/O_x where β is compliant.
+	inv := g.OutdegreeReciprocals()
+	contrib := make([]float64, n)
+	g.ComplianceSet().ForEach(func(x int) {
+		contrib[x] = inv[x]
+	})
 	for r := 0; r < runs; r++ {
-		if !biased {
-			s.orders = append(s.orders, rng.Perm(n))
-			continue
-		}
 		// Exponential-race ordering: item x gets priority Exp(1)·contrib(x);
 		// ascending sort keeps low contributors compliant longest, with
 		// randomness across runs.
@@ -323,25 +323,45 @@ func newAlphaSearchGraph(ft *dataset.FrequencyTable, g *bipartite.Graph, runs in
 	return s, nil
 }
 
+// uniformOrders draws the uniform model's item orders: one permutation of
+// the n items per run.
+func uniformOrders(n, runs int, rng *rand.Rand) [][]int {
+	orders := make([][]int, runs)
+	for r := range orders {
+		orders[r] = rng.Perm(n)
+	}
+	return orders
+}
+
 // OEAtCtx returns the mean O-estimate across runs at compliancy level α: in
-// each run only the first ⌈αn⌉ items of the run's order count as compliant.
-// Each of the runs' O-estimates checks the context's deadline and operation
-// limit. The runs evaluate on the parallel worker pool, each worker reusing
-// one lazily-built mask buffer across its items; the per-run values are
-// reduced in run order, so the mean is bit-identical at any worker count.
+// each run only the first int(αn + 0.5) items of the run's order — αn
+// rounded to nearest, halves up — count as compliant. Each of the runs'
+// O-estimates checks the context's deadline and operation limit. The runs
+// evaluate on the parallel worker pool, each worker reusing one lazily-built
+// mask buffer across its items; the per-run values are reduced in run order,
+// so the mean is bit-identical at any worker count.
 func (s *AlphaSearch) OEAtCtx(ctx context.Context, alpha float64) (float64, error) {
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) {
 		return 0, fmt.Errorf("recipe: alpha %v outside [0,1]", alpha)
 	}
+	t, err := s.terms(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return s.oeAt(ctx, t, alpha)
+}
+
+// oeAt is OEAtCtx on terms already in hand.
+func (s *AlphaSearch) oeAt(ctx context.Context, t *core.OETerms, alpha float64) (float64, error) {
 	runs := len(s.orders)
 	workers := parallel.PoolWorkers(ctx, 0, runs)
 	masks := make([]bitset.Set, workers)
 	vals := make([]float64, runs)
 	err := parallel.ForEachWorker(ctx, workers, runs, func(w, r int) error {
 		if masks[w].IsZero() {
-			masks[w] = bitset.New(s.ft.NItems)
+			masks[w] = bitset.New(s.n)
 		}
-		v, err := s.oeOne(ctx, alpha, s.orders[r], masks[w])
+		v, err := s.oeOne(ctx, t, alpha, s.orders[r], masks[w])
 		if err != nil {
 			return err
 		}
@@ -359,43 +379,48 @@ func (s *AlphaSearch) OEAtCtx(ctx context.Context, alpha float64) (float64, erro
 }
 
 // oeOne evaluates the O-estimate of a single run's compliant subset at level
-// alpha. It is the independent work item of the package's parallel sweeps:
-// pure in (alpha, order) given the search's read-only tables. The caller
-// supplies mask — a zeroed n-length scratch buffer reused across the items of
-// one worker — and gets it back zeroed, whether or not the estimate errored.
-// Which worker's buffer arrives here can never change the value: the mask is
-// fully determined by (alpha, order) before the estimate reads it.
-func (s *AlphaSearch) oeOne(ctx context.Context, alpha float64, order []int, mask bitset.Set) (float64, error) {
-	k := int(alpha*float64(s.ft.NItems) + 0.5)
+// alpha: the terms summed under the subset's mask. It is the independent work
+// item of the package's parallel sweeps: pure in (alpha, order) given the
+// read-only terms. The caller supplies mask — a zeroed n-length scratch
+// buffer reused across the items of one worker — and gets it back zeroed,
+// whether or not the estimate errored. Which worker's buffer arrives here can
+// never change the value: the mask is fully determined by (alpha, order)
+// before the sum reads it.
+func (s *AlphaSearch) oeOne(ctx context.Context, t *core.OETerms, alpha float64, order []int, mask bitset.Set) (float64, error) {
+	k := int(alpha*float64(s.n) + 0.5)
 	for _, x := range order[:k] {
 		mask.Add(x)
 	}
-	oe, err := core.OEstimateGraphCtx(ctx, s.g, core.OEOptions{Mask: mask, Propagate: s.propagate})
+	v, err := t.SumCtx(ctx, mask)
 	for _, x := range order[:k] {
 		mask.Remove(x)
 	}
-	if err != nil {
-		return 0, err
-	}
-	return oe.Value, nil
+	return v, err
 }
 
 // MaxAlphaWithinCtx binary-searches the largest α whose averaged O-estimate
-// is within the given crack budget, to the given precision. The search is
-// valid because the nested compliant sets make OEAtCtx monotone in α
-// (Lemma 10). The whole search shares one operation budget (runs × n
-// charged per α evaluation), so a budget.WithMaxOps limit or a context
-// deadline can stop it between iterations. On exhaustion it returns the
-// best PROVEN α so far — the lower bound of the bracketing invariant —
-// together with the budget error, so callers can keep the conservative
-// partial answer while recording the degradation.
+// is within the given crack budget, to the given precision, which must be
+// positive. The search is valid because the nested compliant sets make
+// OEAtCtx monotone in α (Lemma 10). The whole search shares one operation
+// budget (runs × n charged per α evaluation), so a budget.WithMaxOps limit
+// or a context deadline can stop it between iterations. On exhaustion it
+// returns the best PROVEN α so far — the lower bound of the bracketing
+// invariant — together with the budget error, so callers can keep the
+// conservative partial answer while recording the degradation.
 func (s *AlphaSearch) MaxAlphaWithinCtx(ctx context.Context, crackBudget, precision float64) (float64, error) {
+	if !(precision > 0) {
+		return 0, fmt.Errorf("recipe: alpha precision %v is not positive", precision)
+	}
 	bud := budget.New(ctx, budget.Config{CheckEvery: 1})
-	evalCost := int64(len(s.orders)) * int64(s.ft.NItems)
+	evalCost := int64(len(s.orders)) * int64(s.n)
 	if err := bud.Check(); err != nil {
 		return 0, err
 	}
-	hiVal, err := s.OEAtCtx(ctx, 1)
+	t, err := s.terms(ctx)
+	if err != nil {
+		return 0, err
+	}
+	hiVal, err := s.oeAt(ctx, t, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -408,7 +433,10 @@ func (s *AlphaSearch) MaxAlphaWithinCtx(ctx context.Context, crackBudget, precis
 	}
 	for hi-lo > precision {
 		mid := (lo + hi) / 2
-		v, err := s.OEAtCtx(ctx, mid)
+		if mid <= lo || mid >= hi {
+			break // the bracket is as narrow as float64 allows
+		}
+		v, err := s.oeAt(ctx, t, mid)
 		if err != nil {
 			if budget.Degradable(err) {
 				return lo, fmt.Errorf("recipe: alpha search: %w", err)
@@ -437,20 +465,24 @@ func (s *AlphaSearch) MaxAlphaWithinCtx(ctx context.Context, crackBudget, precis
 // any worker count.
 func (s *AlphaSearch) CurveCtx(ctx context.Context, alphas []float64) ([]float64, error) {
 	for _, a := range alphas {
-		if a < 0 || a > 1 {
+		if !(a >= 0 && a <= 1) {
 			return nil, fmt.Errorf("recipe: alpha %v outside [0,1]", a)
 		}
+	}
+	t, err := s.terms(ctx)
+	if err != nil {
+		return nil, err
 	}
 	runs := len(s.orders)
 	grid := len(alphas) * runs
 	workers := parallel.PoolWorkers(ctx, 0, grid)
 	masks := make([]bitset.Set, workers)
 	vals := make([]float64, grid)
-	err := parallel.ForEachWorker(ctx, workers, grid, func(w, k int) error {
+	err = parallel.ForEachWorker(ctx, workers, grid, func(w, k int) error {
 		if masks[w].IsZero() {
-			masks[w] = bitset.New(s.ft.NItems)
+			masks[w] = bitset.New(s.n)
 		}
-		v, err := s.oeOne(ctx, alphas[k/runs], s.orders[k%runs], masks[w])
+		v, err := s.oeOne(ctx, t, alphas[k/runs], s.orders[k%runs], masks[w])
 		if err != nil {
 			return err
 		}
@@ -461,7 +493,7 @@ func (s *AlphaSearch) CurveCtx(ctx context.Context, alphas []float64) ([]float64
 		return nil, err
 	}
 	out := make([]float64, len(alphas))
-	n := float64(s.ft.NItems)
+	n := float64(s.n)
 	for i := range alphas {
 		total := 0.0
 		for r := 0; r < runs; r++ {

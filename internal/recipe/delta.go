@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/belief"
 	"repro/internal/bipartite"
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -85,10 +86,7 @@ func NewDeltaSessionCtx(ctx context.Context, ft *dataset.FrequencyTable, seed in
 			return nil, err
 		}
 	}
-	n := s.ft.NItems
-	for r := 0; r < opts.Runs; r++ {
-		s.orders = append(s.orders, rng.Perm(n))
-	}
+	s.orders = uniformOrders(s.ft.NItems, opts.Runs, rng)
 	return s, nil
 }
 
@@ -151,13 +149,15 @@ func (s *DeltaSession) AssessCtx(ctx context.Context) (*Result, error) {
 	if s.broken {
 		return nil, ErrSessionBroken
 	}
+	var step6 *core.OETerms // the terms step 6 computed, when it propagated
 	oeFull := func(ctx context.Context) (float64, error) {
 		if s.oe == nil { // propagation has no restricted form; full pass on the patched graph
-			oe, err := core.OEstimateGraphCtx(ctx, s.g, core.OEOptions{Propagate: true})
+			t, err := core.GraphTermsCtx(ctx, s.g, true)
 			if err != nil {
 				return 0, err
 			}
-			return oe.Value, nil
+			step6 = t
+			return t.SumCtx(ctx, bitset.Set{})
 		}
 		oe, err := s.oe.RefreshCtx(ctx, s.dirty)
 		if err != nil {
@@ -169,7 +169,14 @@ func (s *DeltaSession) AssessCtx(ctx context.Context) (*Result, error) {
 		return oe.Value, nil
 	}
 	search := func(context.Context) (*AlphaSearch, error) {
-		return &AlphaSearch{ft: s.ft, g: s.g, orders: s.orders, propagate: s.opts.Propagate}, nil
+		// With propagation the search scans step 6's terms, so the
+		// assessment propagates once. The plain step 6 ran through OEDelta,
+		// so the search reads the patched graph's reciprocals per call.
+		terms := freshTerms(s.g, false)
+		if step6 != nil {
+			terms = fixedTerms(step6)
+		}
+		return &AlphaSearch{n: s.ft.NItems, orders: s.orders, terms: terms}, nil
 	}
 	res, err := assessStaged(ctx, s.ft.NItems, s.opts, s.gr, oeFull, search)
 	if err != nil {
