@@ -278,7 +278,7 @@ func AttackTableCtx(ctx context.Context, bf *BeliefFunction, ft *FrequencyTable,
 		return rep, oerr
 	}
 	rep.OEstimate = oe.Value
-	rep.ForcedCracks = oe.Forced
+	rep.ForcedCracks = oe.ForcedCracks
 	rep.Expected = oe.Value
 
 	if rep.Infeasible || (!opts.Exact && !opts.Simulate) {
@@ -340,7 +340,7 @@ func AttackTableCtx(ctx context.Context, bf *BeliefFunction, ft *FrequencyTable,
 type AttackReport struct {
 	Items           int     // domain size
 	OEstimate       float64 // O-estimate of expected cracks
-	ForcedCracks    int     // propagation-forced assignments (certain knowledge)
+	ForcedCracks    int     // items propagation forces onto their own anonymized twin: certain cracks
 	Simulated       float64 // simulation estimate (0 unless the sampler ran)
 	SimulatedStdDev float64
 	// Infeasible marks that no globally consistent perfect matching exists;
@@ -388,7 +388,7 @@ func AttackSubsetCtx(ctx context.Context, bf *BeliefFunction, db *Database, inte
 		return rep, err
 	}
 	rep.OEstimate = oe.Value
-	rep.ForcedCracks = oe.Forced
+	rep.ForcedCracks = oe.ForcedCracks
 	rep.Expected = oe.Value
 	return rep, nil
 }

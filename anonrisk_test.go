@@ -2,10 +2,14 @@ package anonrisk
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/belief"
+	"repro/internal/dataset"
 )
 
 // bigMartDB reconstructs the paper's Figure 1 example.
@@ -260,6 +264,87 @@ func TestAttackSubset(t *testing.T) {
 	}
 	if math.Abs(full.OEstimate-3) > 1e-9 {
 		t.Errorf("nil interest OE = %v, want 3", full.OEstimate)
+	}
+}
+
+// TestAttackForcedCracksAreCracks pins ForcedCracks to the forced pairs that
+// are cracks. Forced cracks are certain, so they never exceed the expected
+// crack count, nor the O-estimate that counts each of them as 1.
+func TestAttackForcedCracksAreCracks(t *testing.T) {
+	ctx := context.Background()
+	// Counts {1, 5, 8, 8} over 10 transactions. Items 0 and 1 believe each
+	// other's frequency, so propagation forces each onto the other's
+	// anonymized twin: two forced edges, no crack. Items 2 and 3 share one
+	// group and crack once in expectation.
+	ft, err := dataset.NewTable(10, []int{1, 5, 8, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf, err := NewBelief([]Interval{{Lo: 0.5, Hi: 0.5}, {Lo: 0.1, Hi: 0.1}, {Lo: 0.8, Hi: 0.8}, {Lo: 0.8, Hi: 0.8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := AttackTableCtx(ctx, bf, ft, AttackOptions{Exact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Method != MethodExact || math.Abs(rep.Expected-1) > 1e-9 {
+		t.Fatalf("exact tier: Expected %v by %q, want 1 by %q", rep.Expected, rep.Method, MethodExact)
+	}
+	if rep.ForcedCracks != 0 {
+		t.Errorf("ForcedCracks = %d, want 0: both forced pairs swap items 0 and 1", rep.ForcedCracks)
+	}
+
+	// A subset counts only its own forced cracks: of BigMart's two
+	// singleton items, only item 1 is of interest.
+	db := bigMartDB(t)
+	sub, err := AttackSubsetCtx(ctx, ExactKnowledge(db), db, []bool{false, true, false, false, false, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.ForcedCracks != 1 || math.Abs(sub.OEstimate-1) > 1e-9 {
+		t.Errorf("subset: ForcedCracks %d, OE %v; want 1 and 1", sub.ForcedCracks, sub.OEstimate)
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 40; trial++ {
+		n, m := 4+rng.Intn(20), 30
+		txs := make([]Transaction, m)
+		for i := range txs {
+			txs[i] = Transaction{dataset.Item(rng.Intn(n))}
+			for x := 0; x < n; x++ {
+				if rng.Intn(3) == 0 {
+					txs[i] = append(txs[i], dataset.Item(x))
+				}
+			}
+		}
+		db, err := NewDatabase(n, txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freqs := db.Table().Frequencies()
+		base := belief.UniformWidth(freqs, 0.02+0.1*rng.Float64())
+		bf, _, err := belief.AlphaCompliant(base, freqs, rng.Float64(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interest := make([]bool, n)
+		for x := range interest {
+			interest[x] = rng.Intn(2) == 0
+		}
+		full, err := AttackCtx(ctx, bf, db, AttackOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := AttackSubsetCtx(ctx, bf, db, interest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []AttackReport{full, sub} {
+			if float64(r.ForcedCracks) > r.OEstimate+1e-9 {
+				t.Errorf("trial %d: ForcedCracks %d exceeds the O-estimate %v", trial, r.ForcedCracks, r.OEstimate)
+			}
+		}
 	}
 }
 

@@ -38,7 +38,10 @@ type OEResult struct {
 	Outdeg    []int      // per-item outdegree used in the sum (post-propagation when enabled)
 	Crackable bitset.Set // items that contributed (compliant, unmasked, still reachable)
 	Forced    int        // propagation-forced edges (0 without propagation)
-	Rounds    int        // propagation rounds (0 without propagation)
+	// ForcedCracks counts the crack-forced items among those counted in
+	// Value: certain cracks, so never more than Value (0 without propagation).
+	ForcedCracks int
+	Rounds       int // propagation rounds (0 without propagation)
 }
 
 // Fraction returns the O-estimate as a fraction of the domain size, the unit
@@ -135,6 +138,8 @@ type OETerms struct {
 	Outdeg []int // per-item outdegree (post-propagation when enabled)
 	Forced int   // propagation-forced edges (0 without propagation)
 	Rounds int   // propagation rounds (0 without propagation)
+
+	crackForced bitset.Set // items forced onto their own anonymized twin (empty without propagation)
 }
 
 // GraphTermsCtx computes the O-estimate terms of a graph, propagating first
@@ -177,17 +182,19 @@ func graphTerms(ctx context.Context, bud *budget.Budget, g *bipartite.Graph, pro
 func propagatedTerms(comp bitset.Set, p *bipartite.Propagation) *OETerms {
 	n := comp.Len()
 	t := &OETerms{
-		Crackable: bitset.New(n),
-		Terms:     make([]float64, n),
-		Outdeg:    p.Outdeg,
-		Forced:    len(p.Forced),
-		Rounds:    p.Rounds,
+		Crackable:   bitset.New(n),
+		Terms:       make([]float64, n),
+		Outdeg:      p.Outdeg,
+		Forced:      len(p.Forced),
+		Rounds:      p.Rounds,
+		crackForced: bitset.New(n),
 	}
 	forced, consumed := bitset.New(n), bitset.New(n)
 	for _, fp := range p.Forced {
 		forced.Add(fp.Item)
 		consumed.Add(fp.Anon)
 		if fp.Anon == fp.Item {
+			t.crackForced.Add(fp.Item)
 			t.Crackable.Add(fp.Item)
 			t.Terms[fp.Item] = 1
 		}
@@ -235,6 +242,18 @@ func (t *OETerms) estimate(bud *budget.Budget, opts OEOptions) (*OEResult, error
 		return nil, err
 	}
 	res.Value = v
+	// Crack-forced items are crackable, so the scan counted every one that
+	// survives both masks.
+	maskW, intW := opts.Mask.Words(), opts.Interest.Words()
+	for k, w := range t.crackForced.Words() {
+		if maskW != nil {
+			w &= maskW[k]
+		}
+		if intW != nil {
+			w &= intW[k]
+		}
+		res.ForcedCracks += bits.OnesCount64(w)
+	}
 	return res, nil
 }
 

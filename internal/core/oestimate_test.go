@@ -234,8 +234,8 @@ func TestOEstimatePropagationFigure6a(t *testing.T) {
 	if math.Abs(prop.Value-4) > 1e-12 {
 		t.Errorf("propagated OE = %v, want 4 (the true crack count)", prop.Value)
 	}
-	if prop.Forced != 4 {
-		t.Errorf("Forced = %d, want 4", prop.Forced)
+	if prop.Forced != 4 || prop.ForcedCracks != 4 {
+		t.Errorf("Forced = %d, ForcedCracks = %d, want 4 and 4", prop.Forced, prop.ForcedCracks)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestOEstimatePropagationForcedNonCrack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prop.Value != 0 {
-		t.Errorf("OE = %v, want 0 (no consistent mapping cracks anything)", prop.Value)
+	if prop.Value != 0 || prop.ForcedCracks != 0 {
+		t.Errorf("OE = %v, ForcedCracks = %d, want 0 and 0 (no consistent mapping cracks anything)", prop.Value, prop.ForcedCracks)
 	}
 	// Sanity: exact computation agrees.
 	g, err := bipartite.Build(bf, dataset.GroupItems(ft))

@@ -40,6 +40,23 @@ func batchChainGraph(t *testing.T) *bipartite.Graph {
 	return buildGraph(t, bf, ft)
 }
 
+// mixedGraph puts forced items beside one open component: five isolated
+// counts, each alone in its belief range, around a seven-item cluster whose
+// ranges overlap. Propagation forces exactly the five isolated items.
+func mixedGraph(t *testing.T) *bipartite.Graph {
+	t.Helper()
+	ft := mustTable(t, 100, []int{10, 30, 50, 60, 61, 61, 62, 63, 63, 64, 70, 90})
+	g := buildGraph(t, belief.UniformWidth(ft.Frequencies(), 0.025), ft)
+	p, err := g.PropagateCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Forced) != 5 {
+		t.Fatalf("propagation forced %d items, want the 5 isolated ones", len(p.Forced))
+	}
+	return g
+}
+
 // TestBatchEstimateDeterministic pins estimates over several batches per
 // sweep as pure functions of (seed, cfg): bit-identical across repeated
 // calls and worker counts.
@@ -65,7 +82,8 @@ func TestBatchEstimateDeterministic(t *testing.T) {
 
 // TestBatchSweepMatchesExact validates the kernel's stationary distribution
 // against permanent-based expectations on random graphs below sweepBatch
-// items, and against Lemma 6 on a chain above it.
+// items and on a graph mixing forced and open items, and against Lemma 6 on
+// a chain above sweepBatch.
 func TestBatchSweepMatchesExact(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))
@@ -95,7 +113,13 @@ func TestBatchSweepMatchesExact(t *testing.T) {
 		}
 		check("random graph", g, exact)
 	}
-	exact, err := batchChain.ExpectedCracks()
+	mixed := mixedGraph(t)
+	exact, err := core.ExactExpectedCracksCtx(ctx, mixed.ToExplicit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("forced and open", mixed, exact)
+	exact, err = batchChain.ExpectedCracks()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,20 +66,27 @@ func (c Config) withDefaults() Config {
 // distribution stationary:
 //
 //   - Sweep: the paper's §7.1 procedure — draw a random permutation P of the
-//     items and, for each item i, swap the anonymized items matched to i and
-//     P(i) when both swapped edges remain consistent.
-//   - TargetedSweep: for each of n proposals, pick a random item i and a
-//     uniform anonymized item w inside i's belief range, and swap i with w's
-//     current owner when the displaced edge stays consistent. Choosing from
-//     the (state-independent) candidate set makes the transition kernel
-//     P(M→M') = (1/n)(1/O_i + 1/O_j), symmetric in M and M', while rejecting
-//     far fewer proposals than blind transpositions — crucial for narrow
-//     intervals over large domains (RETAIL-scale), where the paper
-//     compensated with 100,000-iteration seeds instead.
+//     open items and, for each open item i, swap the anonymized items
+//     matched to i and P(i) when both swapped edges remain consistent.
+//   - TargetedSweep: for each of |open| proposals, pick a random open item i
+//     and a uniform anonymized item w inside i's belief range, and swap i
+//     with w's current owner when the displaced edge stays consistent.
+//     Choosing from the (state-independent) candidate set makes the
+//     transition kernel P(M→M') = (1/|open|)(1/O_i + 1/O_j), symmetric in M
+//     and M', while rejecting far fewer proposals than blind transpositions
+//     — crucial for narrow intervals over large domains (RETAIL-scale),
+//     where the paper compensated with 100,000-iteration seeds instead.
 //
-// A Sampler is reusable: Reset rebinds it to a graph and a deterministic
-// seed without allocating when the domain size does not grow, which is what
-// makes the R-run estimate allocation-free after setup (see runScratch).
+// The open items are those degree-1 propagation (Figure 7) leaves unforced.
+// A forced pair lies in every consistent perfect matching, so it sits in
+// every seed matching and no accepted move can change it: a proposal for a
+// forced item is an identity move or a rejection. Sweeping only the open
+// items is therefore the same chain without those no-op proposals, and the
+// crack counter still counts the forced cracks.
+//
+// A Sampler is reusable: Reset on the graph it is bound to restarts the
+// chain without allocating, which is what makes the R-run estimate
+// allocation-free after setup (see runScratch).
 type Sampler struct {
 	// PaperMoves makes Step use the paper's blind transpositions; the
 	// default is targeted swaps.
@@ -98,7 +105,8 @@ type Sampler struct {
 
 	anonOf []int              // anonOf[x] = anonymized item currently matched to item x
 	itemOf []int              // itemOf[w] = item currently holding anonymized item w
-	perm   []int              // scratch permutation for Sweep
+	open   []int              // items propagation leaves unforced, ascending: the only ones sweeps propose for
+	perm   []int              // scratch permutation of open for Sweep
 	batch  [sweepBatch]uint64 // word buffer for TargetedSweep: raw draws, then packed proposals
 
 	seedMatch    []int // base matching reseeds start from
@@ -123,12 +131,12 @@ func NewSampler(ctx context.Context, g *bipartite.Graph, rng *rand.Rand) (*Sampl
 }
 
 // Reset rebinds the sampler to g, restarts its random stream at seed, and
-// installs a fresh seed matching. No memory is allocated when the sampler
-// was previously bound to a graph of at least the same domain size; the
-// per-worker scratch of EstimateCracksCtx relies on this to run every chain
-// allocation-free after the first. It returns bipartite.ErrInfeasible when
-// the graph admits no consistent matching, and an error for domains of 2^31
-// or more items, past the 32-bit draws of TargetedSweep.
+// installs a fresh seed matching. Binding to a new graph propagates it once
+// (bind); no memory is allocated when the sampler is already bound to g, and
+// the per-worker scratch of EstimateCracksCtx relies on this to run every
+// chain allocation-free after the first. It returns bipartite.ErrInfeasible
+// when the graph admits no consistent matching, and an error for domains of
+// 2^31 or more items, past the 32-bit draws of TargetedSweep.
 func (s *Sampler) Reset(ctx context.Context, g *bipartite.Graph, seed int64) error {
 	if s.g != g {
 		if err := s.bind(ctx, g); err != nil {
@@ -140,9 +148,11 @@ func (s *Sampler) Reset(ctx context.Context, g *bipartite.Graph, seed int64) err
 	return nil
 }
 
-// bind captures g's flat layout and establishes the base seed matching: the
+// bind captures g's flat layout, establishes the base seed matching — the
 // identity when the graph is compliant, a greedy perfect matching otherwise
-// (both deterministic, so they are computed once and reused by reseed).
+// (both deterministic, so they are computed once and reused by reseed) — and
+// lists the items degree-1 propagation leaves open. Propagation charges its
+// own budget under ctx.
 func (s *Sampler) bind(ctx context.Context, g *bipartite.Graph) error {
 	n := g.Items()
 	if uint64(n) >= 1<<31 {
@@ -155,6 +165,20 @@ func (s *Sampler) bind(ctx context.Context, g *bipartite.Graph) error {
 			return err
 		}
 	}
+	p, err := g.PropagateCtx(ctx)
+	if err != nil {
+		return err
+	}
+	forced := make([]bool, n)
+	for _, fp := range p.Forced {
+		forced[fp.Item] = true
+	}
+	open := s.open[:0]
+	for x, f := range forced {
+		if !f {
+			open = append(open, x)
+		}
+	}
 	s.g = g
 	s.flat, s.candBase, s.candSpan = g.CandidateLayout()
 	s.itemLo, s.itemHi, s.itemGrp = g.ItemLo, g.ItemHi, g.ItemGroup
@@ -162,7 +186,8 @@ func (s *Sampler) bind(ctx context.Context, g *bipartite.Graph) error {
 	s.identitySeed = identity
 	s.anonOf = scratchInts(s.anonOf, n)
 	s.itemOf = scratchInts(s.itemOf, n)
-	s.perm = scratchInts(s.perm, n)
+	s.open = open
+	s.perm = scratchInts(s.perm, len(open))
 	return nil
 }
 
@@ -205,20 +230,17 @@ func (s *Sampler) reseed() {
 	s.cracks = cracks
 }
 
-// Sweep performs one permutation sweep of transposition moves and reports how
-// many were accepted.
+// Sweep performs one permutation sweep of transposition moves over the open
+// items and reports how many were accepted.
 func (s *Sampler) Sweep() int {
-	n := len(s.anonOf)
 	perm := s.perm
-	for i := range perm {
-		perm[i] = i
-	}
+	copy(perm, s.open)
 	s.rng.Shuffle(perm)
 	anonOf := s.anonOf
 	itemLo, itemHi, itemGrp := s.itemLo, s.itemHi, s.itemGrp
 	accepted := 0
-	for i := 0; i < n; i++ {
-		j := perm[i]
+	for k, i := range s.open {
+		j := perm[k]
 		if i == j {
 			continue
 		}
@@ -261,12 +283,13 @@ func (s *Sampler) swap(i, j int) {
 // K ∈ {16, 32, 64, 128, 256} (DESIGN.md §16.3).
 const sweepBatch = 64
 
-// TargetedSweep performs n targeted-swap proposals and reports how many were
-// accepted. See the Sampler documentation for the kernel and its symmetry.
-// Proposals run in batches of sweepBatch (proposeBatch); the item draw's
-// rejection threshold (-n mod n) is computed once per sweep.
+// TargetedSweep performs one targeted-swap proposal per open item and
+// reports how many were accepted. See the Sampler documentation for the
+// kernel and its symmetry. Proposals run in batches of sweepBatch
+// (proposeBatch); the item draw's rejection threshold (-n mod n, n = |open|)
+// is computed once per sweep.
 func (s *Sampler) TargetedSweep() int {
-	n := len(s.anonOf)
+	n := len(s.open)
 	if n == 0 {
 		return 0
 	}
@@ -282,43 +305,40 @@ func (s *Sampler) TargetedSweep() int {
 // proposeBatch draws, resolves and applies len(buf) targeted proposals,
 // using buf as its word buffer:
 //
-//   - ONE 64-bit stream touch per proposal — the high half picks the item,
-//     the low half picks the candidate, each by Lemire's 32-bit
+//   - ONE 64-bit stream touch per proposal — the high half picks the open
+//     item, the low half picks the candidate, each by Lemire's 32-bit
 //     multiply-shift (exact for n < 2^31, which bind enforces and even RETAIL
 //     clears by five orders of magnitude);
 //   - the stream state lives in a stack variable across the batch — no
 //     pointer round-trip through the Sampler per draw — and is written back
 //     once at the end of the draws.
 func (s *Sampler) proposeBatch(buf []uint64, itemThresh uint32) int {
-	anonOf, itemOf := s.anonOf, s.itemOf
+	anonOf, itemOf, open := s.anonOf, s.itemOf, s.open
 	flat, candBase, candSpan := s.flat, s.candBase, s.candSpan
 	itemLo, itemHi, itemGrp := s.itemLo, s.itemHi, s.itemGrp
-	un := uint64(len(anonOf))
+	un := uint64(len(open))
 	state := s.rng
 	for idx := range buf {
 		buf[idx] = state.Uint64()
 	}
 	// Phase 1: resolve every slot's (item, candidate) pair, packed back into
-	// the word buffer in place as item<<32 | candidate (all-ones marks an
-	// isolated item with no candidates). The pairs depend only on the stream
-	// words and the graph's static layout — not on the evolving matching —
-	// so the iterations are independent and the multiplies and candidate
-	// loads pipeline across slots, instead of queueing behind the previous
-	// proposal's swap.
+	// the word buffer in place as item<<32 | candidate. The pairs depend only
+	// on the stream words and the graph's static layout — not on the evolving
+	// matching — so the iterations are independent and the multiplies and
+	// candidate loads pipeline across slots, instead of queueing behind the
+	// previous proposal's swap.
 	//lint:allow loopbudget one pass over a sweepBatch-sized buffer; simulateRun charges per sweep
 	for idx, word := range buf {
-		// Item from the high half: one 32×32→64 multiply against the
+		// Open item from the high half: one 32×32→64 multiply against the
 		// hoisted threshold.
 		m := (word >> 32) * un
 		for uint32(m) < itemThresh {
 			m = (state.Uint64() >> 32) * un
 		}
-		i := int(m >> 32)
+		i := open[m>>32]
+		// An open item keeps at least two candidates: propagation forces
+		// every item left with one, so span is never zero.
 		span := candSpan[i]
-		if span == 0 {
-			buf[idx] = ^uint64(0) // isolated item: no proposal
-			continue
-		}
 		// Candidate from the low half: span varies per item, so the fringe
 		// test stays lazy as in Stream.Uintn.
 		us := uint64(uint32(span))
@@ -343,9 +363,6 @@ func (s *Sampler) proposeBatch(buf []uint64, itemThresh uint32) int {
 	// accepted.
 	cracks, accepted := s.cracks, 0
 	for _, pair := range buf {
-		if pair == ^uint64(0) {
-			continue
-		}
 		i := int(pair >> 32)
 		j := itemOf[uint32(pair)]
 		gi := itemGrp[anonOf[i]]
@@ -430,8 +447,10 @@ type runScratch struct {
 // run's random stream is seeded from a single root (parallel.SplitSeed) and
 // run means are reduced in run order.
 //
-// Every run charges one operation per move proposal, so a deadline or
-// operation limit aborts the chains between sweeps instead of hanging. The
+// Every run charges one operation per move proposal — |open| per sweep —
+// so a deadline or operation limit aborts the chains between sweeps instead
+// of hanging; the propagation that binds each worker's sampler to g charges
+// its own budget (bipartite.Graph.PropagateCtx). The
 // runs execute on at most parallel.Workers(ctx) goroutines and charge ONE
 // shared budget atomically (budget.Shared), so an operation limit bounds the
 // whole simulation — the same work the serial execution would have done —
@@ -468,19 +487,19 @@ func EstimateCracksCtx(ctx context.Context, g *bipartite.Graph, cfg Config, rng 
 }
 
 // simulateRun executes one independent simulation run on the worker's
-// scratch, charging the budget one operation per proposal (n per sweep).
-// Everything the run computes is a pure function of (g, cfg, seed); the
-// scratch only supplies reusable memory.
+// scratch, charging the budget one operation per proposal (|open| per
+// sweep). Everything the run computes is a pure function of (g, cfg, seed);
+// the scratch only supplies reusable memory.
 func simulateRun(ctx context.Context, g *bipartite.Graph, cfg Config, seed int64, sc *runScratch) (float64, error) {
 	bud := sc.bud
 	if err := bud.Check(); err != nil {
 		return 0, err
 	}
-	sweepCost := int64(g.Items())
 	s := &sc.s
 	if err := s.Reset(ctx, g, seed); err != nil {
 		return 0, err
 	}
+	sweepCost := int64(len(s.open))
 	s.PaperMoves = cfg.PaperMoves
 	reseed := func() error {
 		s.reseed()

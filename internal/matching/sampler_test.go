@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/belief"
 	"repro/internal/bipartite"
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -153,32 +154,78 @@ func TestSamplerInfeasible(t *testing.T) {
 }
 
 func TestSamplerInvariants(t *testing.T) {
-	// Every state the sampler visits must be a consistent perfect matching.
+	// Every state the sampler visits must be a consistent perfect matching
+	// that keeps every propagation-forced pair, across both move kinds.
 	rng := rand.New(rand.NewSource(11))
 	ft := mustTable(t, 30, []int{3, 3, 9, 9, 14, 20, 20, 26})
 	bf := belief.RandomCompliant(ft.Frequencies(), 0.25, rng)
-	g := buildGraph(t, bf, ft)
-	s, err := NewSampler(context.Background(), g, rng)
+	for _, g := range []*bipartite.Graph{buildGraph(t, bf, ft), mixedGraph(t)} {
+		p, err := g.PropagateCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSampler(context.Background(), g, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.Items()
+		for sweep := 0; sweep < 200; sweep++ {
+			if sweep%2 == 0 {
+				s.Sweep()
+			} else {
+				s.TargetedSweep()
+			}
+			m := s.Matching()
+			used := make([]bool, n)
+			for x, w := range m {
+				if used[w] {
+					t.Fatalf("sweep %d: anonymized item %d matched twice", sweep, w)
+				}
+				used[w] = true
+				if !g.HasEdge(w, x) {
+					t.Fatalf("sweep %d: inconsistent edge (%d,%d)", sweep, w, x)
+				}
+			}
+			for _, fp := range p.Forced {
+				if m[fp.Item] != fp.Anon {
+					t.Fatalf("sweep %d: forced pair (%d,%d) moved to (%d,%d)", sweep, fp.Anon, fp.Item, m[fp.Item], fp.Item)
+				}
+			}
+			if c := s.Cracks(); c < 0 || c > n {
+				t.Fatalf("sweep %d: crack count %d out of range", sweep, c)
+			}
+		}
+	}
+}
+
+// TestEstimateChargesOpenProposals pins the budget to the proposals a sweep
+// makes. Under a point-valued belief over distinct counts every group is a
+// singleton, propagation forces every item and a sweep proposes nothing, so
+// an operation limit of 16 per item — less than the burn-in alone would cost
+// at one proposal per item — still buys the whole estimate, at Lemma 3's
+// exact value.
+func TestEstimateChargesOpenProposals(t *testing.T) {
+	const n = 4096
+	counts := make([]int, n)
+	for i := range counts {
+		counts[i] = i + 1
+	}
+	ft := mustTable(t, n, counts)
+	g := buildGraph(t, belief.PointValued(ft.Frequencies()), ft)
+	ctx := budget.WithMaxOps(context.Background(), 16*n)
+	est, err := EstimateCracksCtx(ctx, g, Config{}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.Items()
-	for sweep := 0; sweep < 200; sweep++ {
-		s.Sweep()
-		m := s.Matching()
-		used := make([]bool, n)
-		for x, w := range m {
-			if used[w] {
-				t.Fatalf("sweep %d: anonymized item %d matched twice", sweep, w)
-			}
-			used[w] = true
-			if !g.HasEdge(w, x) {
-				t.Fatalf("sweep %d: inconsistent edge (%d,%d)", sweep, w, x)
-			}
-		}
-		if c := s.Cracks(); c < 0 || c > n {
-			t.Fatalf("sweep %d: crack count %d out of range", sweep, c)
-		}
+	if est.Mean != n || est.StdDev != 0 {
+		t.Errorf("simulated E(X) = %v ± %v, want exactly %d (Lemma 3, all groups singletons)", est.Mean, est.StdDev, n)
+	}
+	s, err := NewSampler(ctx, g, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TargetedSweep(); got != 0 {
+		t.Errorf("TargetedSweep accepted %d moves with every item forced, want 0", got)
 	}
 }
 
