@@ -1,9 +1,10 @@
 #!/bin/sh
 # ci.sh — the repo's continuous-integration gate, runnable locally.
 #
-#   ./ci.sh          vet + riskvet + build + race-enabled tests
+#   ./ci.sh          vet + gofmt + riskvet + build + race-enabled tests
 #   ./ci.sh -short   same, with -short tests plus brief fuzz runs of the
-#                    two parser fuzzers against their committed corpora
+#                    two parser fuzzers (against their committed corpora)
+#                    and the counts-diff fuzzer
 #   ./ci.sh -bench   additionally run the parallel-engine benchmarks at
 #                    GOMAXPROCS=1 and GOMAXPROCS=nproc plus the kernel
 #                    microbenchmarks (bitset O-estimate scan vs the boolean
@@ -30,9 +31,11 @@
 #                    under internal/experiments/testdata/registry/ (exit 3
 #                    from `experiments diff` — any changed cell — fails CI)
 #   ./ci.sh -delta   additionally run the incremental-assessment suite under
-#                    -race (delta/full equivalence across dataset, bipartite,
-#                    core, recipe; the /v1/assess/delta and subscribe server
-#                    tests; the client Retry-After and SSE tests) plus the
+#                    -race (delta/full equivalence across dataset, bipartite
+#                    and recipe — the session's step 6 is the full path's
+#                    O-estimate, so core holds no delta proof of its own; the
+#                    /v1/assess/delta and subscribe server tests; the client
+#                    Retry-After and SSE tests) plus the
 #                    riskd -selfcheck smoke, whose delta leg evolves a
 #                    release through a subscribe stream end to end
 #   ./ci.sh -escape-update  regenerate the kernel escape-analysis baseline
@@ -84,6 +87,16 @@ done
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Analyzer fixtures under testdata are exempt: gofmt would rewrite the
+# suppresstest fixture's comments and shift its "// want+1" positions.
+unformatted="$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "ci.sh: gofmt -l reports unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== riskvet =="
 go build -o riskvet ./cmd/riskvet
 ./riskvet ./...
@@ -105,6 +118,7 @@ if [ -n "$short" ]; then
 	echo "== fuzz (committed corpora, 5s each) =="
 	go test -run '^$' -fuzz '^FuzzReadFIMI$' -fuzztime 5s ./internal/dataset/
 	go test -run '^$' -fuzz '^FuzzBeliefParse$' -fuzztime 5s ./internal/belief/
+	go test -run '^$' -fuzz '^FuzzCountsDiff$' -fuzztime 5s ./internal/dataset/
 fi
 
 if [ -n "$lint" ]; then

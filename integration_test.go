@@ -9,6 +9,7 @@ package anonrisk
 import (
 	"context"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -84,13 +85,25 @@ func TestIdSpaceConventionMatchesRealAttack(t *testing.T) {
 
 		// Expected cracks agree: in the hacker view, a crack is the event
 		// that released id a maps to ToOrig[a].
-		probs, err := hg.EdgeInclusionProbabilityCtx(context.Background())
+		total, err := hg.CountPerfectMatchingsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
+		if total.Sign() == 0 {
+			t.Fatalf("trial %d: hacker graph has no perfect matching", trial)
+		}
+		tot := new(big.Float).SetInt(total)
 		hackerExp := 0.0
 		for a := 0; a < n; a++ {
-			hackerExp += probs[a][key.ToOrig[a]]
+			if !hg.HasEdge(a, key.ToOrig[a]) {
+				continue
+			}
+			c, err := hg.Minor(a, key.ToOrig[a]).CountPerfectMatchingsCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _ := new(big.Float).Quo(new(big.Float).SetInt(c), tot).Float64()
+			hackerExp += p
 		}
 		idExp, err := core.ExactExpectedCracksCtx(context.Background(), idGraph.ToExplicit())
 		if err != nil {

@@ -105,13 +105,3 @@ func BenchmarkHopcroftKarp1k(b *testing.B) {
 		e.MaximumMatchingCtx(context.Background())
 	}
 }
-
-func BenchmarkRasmussen(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	e := RandomExplicit(30, 0.5, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RasmussenEstimateCtx(context.Background(), e, 100, rng)
-	}
-}

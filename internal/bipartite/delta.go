@@ -28,11 +28,7 @@ type RebinUpdate struct {
 
 // Rebin patches the graph in place to match Build(bf, up.Grouping), touching
 // only the frequency groups at or beyond Delta.FirstGroup and only the belief
-// ranges that could have moved. It returns the ascending list of items whose
-// O-estimate contribution may have changed — outdegree or compliancy moved —
-// which is exactly the work order for core.OEDelta.Refresh. The list is a
-// superset-safe signal: recomputing an unchanged item is bit-identical, so
-// callers never need to second-guess it.
+// ranges that could have moved.
 //
 // The equivalence invariant (pinned by TestRebinMatchesBuild): after Rebin,
 // every exported field and the flat candidate layout are deep-equal to a
@@ -42,30 +38,22 @@ type RebinUpdate struct {
 // one.
 //
 //lint:allow ctxbudget patch cost is O(changed + n) index work, below any budget floor
-func (g *Graph) Rebin(bf *belief.Function, up RebinUpdate) (changed []int, err error) {
+func (g *Graph) Rebin(bf *belief.Function, up RebinUpdate) error {
 	gr, rd := up.Grouping, up.Delta
 	if gr == nil || rd == nil {
-		return nil, fmt.Errorf("bipartite: Rebin needs both Grouping and Delta")
+		return fmt.Errorf("bipartite: Rebin needs both Grouping and Delta")
 	}
 	n := g.Items()
 	if gr.NumItems() != n {
-		return nil, fmt.Errorf("bipartite: rebin grouping domain %d != graph domain %d", gr.NumItems(), n)
+		return fmt.Errorf("bipartite: rebin grouping domain %d != graph domain %d", gr.NumItems(), n)
 	}
 	if bf.Items() != n {
-		return nil, fmt.Errorf("bipartite: belief domain %d != graph domain %d", bf.Items(), n)
+		return fmt.Errorf("bipartite: belief domain %d != graph domain %d", bf.Items(), n)
 	}
 	k := gr.NumGroups()
 	fg := rd.FirstGroup
 	if fg < 0 || fg > k {
-		return nil, fmt.Errorf("bipartite: FirstGroup %d outside [0,%d]", fg, k)
-	}
-
-	// Snapshot the two quantities that decide an item's O-estimate
-	// contribution: outdegree (= candidate span) and compliancy.
-	oldSpan := append([]int(nil), g.candSpan...)
-	oldCompliant := make([]bool, n)
-	for x := 0; x < n; x++ {
-		oldCompliant[x] = g.Compliant(x)
+		return fmt.Errorf("bipartite: FirstGroup %d outside [0,%d]", fg, k)
 	}
 
 	// Patch the group structures from the first changed group on. Groups
@@ -103,7 +91,7 @@ func (g *Graph) Rebin(bf *belief.Function, up RebinUpdate) (changed []int, err e
 	} else {
 		for _, x := range up.ChangedIntervals {
 			if x < 0 || x >= n {
-				return nil, fmt.Errorf("bipartite: changed-interval item %d outside [0,%d)", x, n)
+				return fmt.Errorf("bipartite: changed-interval item %d outside [0,%d)", x, n)
 			}
 			g.ItemLo[x], g.ItemHi[x] = groupRange(g.Freqs, bf.Interval(x))
 		}
@@ -118,7 +106,7 @@ func (g *Graph) Rebin(bf *belief.Function, up RebinUpdate) (changed []int, err e
 
 	// Re-derive every [base, span) window from the patched prefix sums,
 	// zeroing both for items with no consistent counterpart exactly as Build
-	// leaves them, then report the items whose contribution inputs moved.
+	// leaves them.
 	for x := 0; x < n; x++ {
 		lo, hi := g.ItemLo[x], g.ItemHi[x]
 		if lo > hi {
@@ -137,11 +125,8 @@ func (g *Graph) Rebin(bf *belief.Function, up RebinUpdate) (changed []int, err e
 		} else {
 			g.invSpan[x] = 0
 		}
-		if g.candSpan[x] != oldSpan[x] || g.Compliant(x) != oldCompliant[x] {
-			changed = append(changed, x)
-		}
 	}
-	return changed, nil
+	return nil
 }
 
 // resizeInts returns s with length n, reusing its backing array when it can

@@ -73,8 +73,7 @@ func graphEqual(t *testing.T, got, want *Graph) {
 // TestRebinMatchesBuild is the structural half of the delta-equivalence
 // property: over random (table, diff) pairs — applied singly and in chains —
 // a Rebin-patched graph is field-for-field identical to Build against the
-// post-diff grouping and belief function, and the reported changed set is
-// exactly the set of items whose outdegree or compliancy moved.
+// post-diff grouping and belief function.
 func TestRebinMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 250; trial++ {
@@ -113,13 +112,7 @@ func TestRebinMatchesBuild(t *testing.T) {
 				ChangedIntervals: rd.Moved,
 				AllIntervals:     postMed != deltaMed || d.DTransactions != 0,
 			}
-			prevSpan := append([]int(nil), g.candSpan...)
-			prevCompliant := make([]bool, n)
-			for x := 0; x < n; x++ {
-				prevCompliant[x] = g.Compliant(x)
-			}
-			changed, err := g.Rebin(postBF, up)
-			if err != nil {
+			if err := g.Rebin(postBF, up); err != nil {
 				t.Fatalf("trial %d step %d: Rebin: %v", trial, step, err)
 			}
 			want, err := Build(postBF, postGr)
@@ -127,15 +120,6 @@ func TestRebinMatchesBuild(t *testing.T) {
 				t.Fatalf("trial %d step %d: Build: %v", trial, step, err)
 			}
 			graphEqual(t, g, want)
-			var wantChanged []int
-			for x := 0; x < n; x++ {
-				if want.candSpan[x] != prevSpan[x] || want.Compliant(x) != prevCompliant[x] {
-					wantChanged = append(wantChanged, x)
-				}
-			}
-			if !reflect.DeepEqual(changed, wantChanged) {
-				t.Fatalf("trial %d step %d: changed = %v, want %v", trial, step, changed, wantChanged)
-			}
 			gr, deltaMed = postGr, postMed
 		}
 	}
@@ -152,16 +136,16 @@ func TestRebinRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Rebin(bf, RebinUpdate{}); err == nil {
+	if err := g.Rebin(bf, RebinUpdate{}); err == nil {
 		t.Error("Rebin without grouping/delta: want error")
 	}
-	if _, err := g.Rebin(belief.Ignorant(4), RebinUpdate{Grouping: gr, Delta: &dataset.RebinDelta{FirstGroup: 3}}); err == nil {
+	if err := g.Rebin(belief.Ignorant(4), RebinUpdate{Grouping: gr, Delta: &dataset.RebinDelta{FirstGroup: 3}}); err == nil {
 		t.Error("Rebin with mismatched belief domain: want error")
 	}
-	if _, err := g.Rebin(bf, RebinUpdate{Grouping: gr, Delta: &dataset.RebinDelta{FirstGroup: 9}}); err == nil {
+	if err := g.Rebin(bf, RebinUpdate{Grouping: gr, Delta: &dataset.RebinDelta{FirstGroup: 9}}); err == nil {
 		t.Error("Rebin with out-of-range FirstGroup: want error")
 	}
-	if _, err := g.Rebin(bf, RebinUpdate{Grouping: gr, Delta: &dataset.RebinDelta{FirstGroup: 3}, ChangedIntervals: []int{7}}); err == nil {
+	if err := g.Rebin(bf, RebinUpdate{Grouping: gr, Delta: &dataset.RebinDelta{FirstGroup: 3}, ChangedIntervals: []int{7}}); err == nil {
 		t.Error("Rebin with out-of-range changed interval: want error")
 	}
 }

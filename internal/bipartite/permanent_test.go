@@ -2,7 +2,7 @@ package bipartite
 
 import (
 	"context"
-	"math"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -79,16 +79,28 @@ func TestEnumerationRespectsMaxCount(t *testing.T) {
 }
 
 func TestEdgeInclusionComplete(t *testing.T) {
-	// On K_n every edge is in a fraction 1/n of matchings.
+	// On K_n every edge is in a fraction 1/n of matchings: (n-1)! of n!.
 	n := 5
-	probs, err := Complete(n).EdgeInclusionProbabilityCtx(context.Background())
+	e := Complete(n)
+	total, diag, err := e.DiagonalMatchingCountsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if total.Cmp(factorial(n)) != 0 {
+		t.Fatalf("perm(K_%d) = %v, want %v", n, total, factorial(n))
+	}
+	want := factorial(n - 1)
 	for w := 0; w < n; w++ {
+		if diag[w].Cmp(want) != 0 {
+			t.Errorf("diagonal count (%d',%d) = %v, want %v", w, w, diag[w], want)
+		}
 		for x := 0; x < n; x++ {
-			if math.Abs(probs[w][x]-1.0/float64(n)) > 1e-12 {
-				t.Errorf("P(%d,%d) = %v, want %v", w, x, probs[w][x], 1.0/float64(n))
+			got, err := e.Minor(w, x).CountPerfectMatchingsCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Errorf("matchings with (%d',%d) = %v, want %v", w, x, got, want)
 			}
 		}
 	}
@@ -96,61 +108,62 @@ func TestEdgeInclusionComplete(t *testing.T) {
 
 func TestEdgeInclusionFigure6b(t *testing.T) {
 	// Figure 6(b): {1',2'}x{1,2}, {3',4'}x{3,4}, plus the irrelevant edge
-	// (2',3). There are 4 matchings; (2',3) is in none; diagonal edges are in
-	// half each, so the exact expected number of cracks is 2.
+	// (2',3). There are 4 matchings; (2',3) is in none; each diagonal edge is
+	// in 2 of them, so the exact expected number of cracks is 4·2/4 = 2.
 	e := MustExplicit(4, [][]int{{0, 1}, {0, 1, 2}, {2, 3}, {2, 3}})
-	total, err := e.CountPerfectMatchingsCtx(context.Background())
+	total, diag, err := e.DiagonalMatchingCountsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total.Int64() != 4 {
 		t.Fatalf("matchings = %v, want 4", total)
 	}
-	probs, err := e.EdgeInclusionProbabilityCtx(context.Background())
+	irrelevant, err := e.Minor(1, 2).CountPerfectMatchingsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probs[1][2] != 0 {
-		t.Errorf("P(2',3) = %v, want 0 (irrelevant edge)", probs[1][2])
+	if irrelevant.Sign() != 0 {
+		t.Errorf("matchings with (2',3) = %v, want 0 (irrelevant edge)", irrelevant)
 	}
-	exp := 0.0
-	for x := 0; x < 4; x++ {
-		exp += probs[x][x]
-	}
-	if math.Abs(exp-2.0) > 1e-12 {
-		t.Errorf("exact E(X) = %v, want 2", exp)
+	for x, c := range diag {
+		if c.Int64() != 2 {
+			t.Errorf("matchings with (%d',%d) = %v, want 2", x+1, x+1, c)
+		}
 	}
 }
 
 func TestEdgeInclusionMatchesMinors(t *testing.T) {
+	// The matchings that contain the edge (w′, x) are the perfect matchings
+	// of Minor(w, x), so Ryser on the minor must count exactly the
+	// enumerated matchings through the edge, for every edge.
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(5)
 		e := RandomExplicit(n, 0.5, rng)
-		total, err := e.CountPerfectMatchingsCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		through := make([][]int64, n)
+		for w := range through {
+			through[w] = make([]int64, n)
 		}
-		if total.Sign() == 0 {
-			continue
-		}
-		probs, err := e.EdgeInclusionProbabilityCtx(context.Background())
+		err := e.EnumeratePerfectMatchingsCtx(context.Background(), 0, func(match []int) {
+			for w, x := range match {
+				through[w][x]++
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for w := 0; w < n; w++ {
 			for x := 0; x < n; x++ {
-				var want float64
-				if e.HasEdge(w, x) {
-					mc, err := e.Minor(w, x).CountPerfectMatchingsCtx(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					f, _ := new(big.Float).Quo(new(big.Float).SetInt(mc), new(big.Float).SetInt(total)).Float64()
-					want = f
+				if !e.HasEdge(w, x) {
+					continue
 				}
-				if math.Abs(probs[w][x]-want) > 1e-9 {
-					t.Fatalf("trial %d: P(%d,%d) = %v, minors give %v", trial, w, x, probs[w][x], want)
+				mc, err := e.Minor(w, x).CountPerfectMatchingsCtx(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mc.Int64() != through[w][x] {
+					t.Fatalf("trial %d: perm(Minor(%d, %d)) = %v, enumeration counts %d matchings with (%d',%d)",
+						trial, w, x, mc, through[w][x], w, x)
 				}
 			}
 		}
@@ -159,8 +172,8 @@ func TestEdgeInclusionMatchesMinors(t *testing.T) {
 
 func TestEdgeInclusionInfeasible(t *testing.T) {
 	e := MustExplicit(2, [][]int{{1}, {1}})
-	if _, err := e.EdgeInclusionProbabilityCtx(context.Background()); err != ErrInfeasible {
-		t.Errorf("EdgeInclusionProbabilityCtx = %v, want ErrInfeasible", err)
+	if _, _, err := e.DiagonalMatchingCountsCtx(context.Background()); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("DiagonalMatchingCountsCtx = %v, want ErrInfeasible", err)
 	}
 }
 
@@ -222,27 +235,6 @@ func TestHopcroftKarpAgainstEnumeration(t *testing.T) {
 		}
 		if seen != size {
 			t.Fatalf("trial %d: size %d but %d matched", trial, size, seen)
-		}
-	}
-}
-
-func TestRasmussenUnbiased(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 5; trial++ {
-		n := 3 + rng.Intn(4)
-		e := RandomExplicit(n, 0.6, rng)
-		exact, err := e.CountPerfectMatchingsCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := new(big.Float).SetInt(exact).Float64()
-		got, err := RasmussenEstimateCtx(context.Background(), e, 60000, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tol := 0.15*want + 0.5
-		if math.Abs(got-want) > tol {
-			t.Errorf("trial %d (n=%d): Rasmussen = %v, exact = %v", trial, n, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -29,12 +30,30 @@ func randomExplicit(t *testing.T, n int, p float64, rng *rand.Rand) *Explicit {
 	return e
 }
 
+// countPerfectMatchings is the subset-DP permanent, the independent oracle
+// the Gray-code Ryser kernel is pinned against: dp[s] counts the matchings
+// of the first |s| left vertices onto exactly the right-vertex subset s. It
+// materializes a 2^n table of big.Ints, so it suits small n only.
+func (e *Explicit) countPerfectMatchings() *big.Int {
+	size := 1 << uint(e.N)
+	dp := make([]*big.Int, size)
+	dp[0] = big.NewInt(1)
+	for s := 1; s < size; s++ {
+		row := bits.OnesCount(uint(s)) - 1
+		acc := new(big.Int)
+		for _, x := range e.Adj[row] {
+			if bit := 1 << uint(x); s&bit != 0 {
+				acc.Add(acc, dp[s^bit])
+			}
+		}
+		dp[s] = acc
+	}
+	return dp[size-1]
+}
+
 func ryserVsDP(t *testing.T, e *Explicit, label string) {
 	t.Helper()
-	want, err := e.countPerfectMatchings(nil)
-	if err != nil {
-		t.Fatalf("%s: dp: %v", label, err)
-	}
+	want := e.countPerfectMatchings()
 	got, err := e.countPerfectMatchingsRyser(nil, nil)
 	if err != nil {
 		t.Fatalf("%s: ryser: %v", label, err)
@@ -155,34 +174,38 @@ func TestRyserFullRunN20(t *testing.T) {
 	ryserVsDP(t, randomExplicit(t, 20, 0.25, rng), "n=20")
 }
 
-// TestDiagonalMatchingCountsMatchesEdgeInclusion pins the diagonal-minor
-// path of exact expected cracks against the edge-inclusion DP it replaced:
-// diag[x]/total must equal probs[x][x] for every diagonal edge.
+// TestDiagonalMatchingCountsMatchesEdgeInclusion pins the counts behind
+// exact expected cracks against the subset DP, by exact big.Int equality:
+// total is the DP on the graph, and diag[x] — the matchings that contain
+// the diagonal edge (x′, x) — is the DP on Minor(x, x).
 func TestDiagonalMatchingCountsMatchesEdgeInclusion(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(9)
 		e := randomExplicit(t, n, 0.3+0.6*rng.Float64(), rng)
-		probs, refErr := e.EdgeInclusionProbabilityCtx(context.Background())
+		want := e.countPerfectMatchings()
 		total, diag, err := e.DiagonalMatchingCountsCtx(context.Background())
-		if refErr != nil {
+		if want.Sign() == 0 {
 			if !errors.Is(err, ErrInfeasible) {
-				t.Fatalf("trial %d: edge-inclusion says %v, diagonal says %v", trial, refErr, err)
+				t.Fatalf("trial %d: the DP counts no matching, diagonal says %v", trial, err)
 			}
 			continue
 		}
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		tot := new(big.Float).SetInt(total)
+		if total.Cmp(want) != 0 {
+			t.Fatalf("trial %d: total %v, subset DP %v", trial, total, want)
+		}
 		for x := 0; x < n; x++ {
-			want := probs[x][x]
-			got := 0.0
-			if diag[x] != nil {
-				got, _ = new(big.Float).Quo(new(big.Float).SetInt(diag[x]), tot).Float64()
+			if !e.HasEdge(x, x) {
+				if diag[x] != nil {
+					t.Fatalf("trial %d: diag[%d] = %v without the edge (%d′, %d)", trial, x, diag[x], x, x)
+				}
+				continue
 			}
-			if got != want {
-				t.Fatalf("trial %d: diag inclusion P(%d)=%v, edge-inclusion DP %v", trial, x, got, want)
+			if w := e.Minor(x, x).countPerfectMatchings(); diag[x].Cmp(w) != 0 {
+				t.Fatalf("trial %d: diag[%d] = %v, subset DP on Minor(%d, %d) %v", trial, x, diag[x], x, x, w)
 			}
 		}
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -209,4 +211,95 @@ func TestOEstimateTracksExact(t *testing.T) {
 	if worst > 0.5 {
 		t.Errorf("worst relative error %v, want <= 0.5 on random compliant graphs", worst)
 	}
+}
+
+// CrackDistributionDirect evaluates the paper's Section 4.1 formula
+// literally:
+//
+//	P(X = k) = Σ_{S ∈ I^k} perm(A_{G(S)}) / perm(A_G)
+//
+// where G(S) removes, for each x in S, the vertices x and x′ (they are
+// matched as cracks) and, for every remaining y, the diagonal edge (y′, y)
+// (no further cracks allowed). The subset sum makes it exponentially more
+// expensive than enumeration; it is the test oracle that validates the
+// formula itself against CrackDistributionCtx.
+func CrackDistributionDirect(ctx context.Context, e *bipartite.Explicit, k int) (float64, error) {
+	if k < 0 || k > e.N {
+		return 0, fmt.Errorf("core: crack count %d outside [0,%d]", k, e.N)
+	}
+	total, err := e.CountPerfectMatchingsCtx(ctx)
+	if err != nil {
+		return 0, err
+	}
+	if total.Sign() == 0 {
+		return 0, bipartite.ErrInfeasible
+	}
+	sum := new(big.Int)
+	subset := make([]int, k)
+	var rec func(start, depth int) error
+	rec = func(start, depth int) error {
+		if depth == k {
+			c, err := restrictedCount(ctx, e, subset)
+			if err != nil {
+				return err
+			}
+			sum.Add(sum, c)
+			return nil
+		}
+		for x := start; x < e.N; x++ {
+			subset[depth] = x
+			if err := rec(x+1, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := rec(0, 0); err != nil {
+		return 0, err
+	}
+	q := new(big.Float).Quo(new(big.Float).SetInt(sum), new(big.Float).SetInt(total))
+	out, _ := q.Float64()
+	return out, nil
+}
+
+// restrictedCount counts the perfect matchings of G(S): vertices of S matched
+// diagonally and removed, all remaining diagonal edges deleted.
+func restrictedCount(ctx context.Context, e *bipartite.Explicit, S []int) (*big.Int, error) {
+	inS := make([]bool, e.N)
+	for _, x := range S {
+		if !e.HasEdge(x, x) {
+			// x cannot be cracked at all; no matching has crack set ⊇ {x}.
+			return new(big.Int), nil
+		}
+		inS[x] = true
+	}
+	// Relabel the remaining vertices densely.
+	relabel := make([]int, e.N)
+	m := 0
+	for x := 0; x < e.N; x++ {
+		if !inS[x] {
+			relabel[x] = m
+			m++
+		}
+	}
+	if m == 0 {
+		return big.NewInt(1), nil
+	}
+	adj := make([][]int, m)
+	for w := 0; w < e.N; w++ {
+		if inS[w] {
+			continue
+		}
+		for _, x := range e.Adj[w] {
+			if inS[x] || x == w { // drop removed vertices and diagonal edges
+				continue
+			}
+			adj[relabel[w]] = append(adj[relabel[w]], relabel[x])
+		}
+	}
+	sub, err := bipartite.NewExplicit(m, adj)
+	if err != nil {
+		return nil, err
+	}
+	return sub.CountPerfectMatchingsCtx(ctx)
 }

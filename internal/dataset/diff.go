@@ -11,9 +11,9 @@ import (
 // identical data, where a day of new transactions moves a handful of support
 // counts. Applying a diff to the pre-release table yields the post-release
 // table exactly, so the delta assessment pipeline (bipartite.Rebin,
-// core.OEDelta, recipe.DeltaSession) can patch its structures in place
-// instead of rebuilding them, while remaining bit-for-bit equivalent to a
-// full recompute.
+// recipe.DeltaSession) can patch its structures in place instead of
+// rebuilding them, while remaining bit-for-bit equivalent to a full
+// recompute.
 type CountsDiff struct {
 	// DTransactions is the change to NTransactions (post = pre + DTransactions).
 	DTransactions int `json:"dtransactions,omitempty"`

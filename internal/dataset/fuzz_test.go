@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,89 @@ func FuzzReadFIMI(f *testing.F) {
 			if ft.Counts[x] != c {
 				t.Fatalf("counts[%d] = %d, want %d", x, ft.Counts[x], c)
 			}
+		}
+	})
+}
+
+// FuzzCountsDiff asserts the diff contract on an arbitrary table (n ≤ 64)
+// and an arbitrary diff, out-of-range, unsorted and zero entries included:
+// Validate accepts exactly what ApplyDiff applies; a rejected diff leaves
+// the table's digest as it was; an accepted one leaves the digest of a
+// table built afresh from the edited counts; and the patched grouping is
+// GroupItems of the post-diff table.
+func FuzzCountsDiff(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(0), []byte{0, 2}, []byte{1, 0xff})
+	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(2), []byte{1, 3, 4}, []byte{2, 2, 0xfe})
+	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(0), []byte{2, 1}, []byte{1, 1}) // unsorted
+	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(0), []byte{5}, []byte{1})       // past n
+	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(0), []byte{0xff}, []byte{1})    // negative item
+	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(0), []byte{0}, []byte{0})       // zero delta
+	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(0), []byte{0, 1}, []byte{1})    // lengths differ
+	f.Add([]byte{9, 0, 9}, uint8(9), int8(-3), []byte{1}, []byte{1})            // shrink past untouched
+	f.Add([]byte{2, 2, 2, 2}, uint8(3), int8(-4), []byte{}, []byte{})           // empty release
+	f.Add([]byte{0, 7, 7, 1}, uint8(7), int8(1), []byte{0, 1, 2, 3}, []byte{8, 1, 0xf9, 0xff})
+	f.Fuzz(func(t *testing.T, raw []byte, mb uint8, dt int8, items, deltas []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		if len(raw) > 64 {
+			raw = raw[:64]
+		}
+		m := 1 + int(mb)
+		counts := make([]int, len(raw))
+		for x, b := range raw {
+			counts[x] = int(b) % (m + 1)
+		}
+		ft, err := NewTable(m, counts)
+		if err != nil {
+			t.Fatalf("NewTable: %v", err)
+		}
+		d := &CountsDiff{DTransactions: int(dt)}
+		for _, b := range items {
+			d.Items = append(d.Items, int(int8(b)))
+		}
+		for _, b := range deltas {
+			d.Deltas = append(d.Deltas, int(int8(b)))
+		}
+		pre := GroupItems(ft)
+		before := ft.Digest()
+
+		verr := d.Validate(ft)
+		aerr := ft.ApplyDiff(d)
+		if (verr == nil) != (aerr == nil) {
+			t.Fatalf("Validate = %v but ApplyDiff = %v", verr, aerr)
+		}
+		if aerr != nil {
+			rebuilt, err := NewTable(ft.NTransactions, ft.Counts)
+			if err != nil {
+				t.Fatalf("rejected diff left an invalid table: %v", err)
+			}
+			if ft.Digest() != before || rebuilt.Digest() != before {
+				t.Fatalf("rejected diff moved the digest")
+			}
+			return
+		}
+
+		want := append([]int(nil), counts...)
+		for i, x := range d.Items {
+			want[x] += d.Deltas[i]
+		}
+		fresh, err := NewTable(m+d.DTransactions, want)
+		if err != nil {
+			t.Fatalf("accepted diff edits the counts into an invalid table: %v", err)
+		}
+		if ft.Digest() != fresh.Digest() {
+			t.Fatalf("digest after ApplyDiff %s, rebuilt %s", ft.Digest(), fresh.Digest())
+		}
+
+		got, _, err := ApplyDiffGrouping(pre, ft, d)
+		if err != nil {
+			t.Fatalf("ApplyDiffGrouping: %v", err)
+		}
+		wantGr := GroupItems(fresh)
+		if !reflect.DeepEqual(got.Groups, wantGr.Groups) || !reflect.DeepEqual(got.itemGroup, wantGr.itemGroup) {
+			t.Fatalf("patched grouping %+v / %v, GroupItems %+v / %v",
+				got.Groups, got.itemGroup, wantGr.Groups, wantGr.itemGroup)
 		}
 	})
 }

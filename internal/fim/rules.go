@@ -125,4 +125,3 @@ func splitByMask(items Itemset, mask uint) (in, out Itemset) {
 	}
 	return in, out
 }
-

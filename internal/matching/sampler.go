@@ -534,24 +534,3 @@ func simulateRun(ctx context.Context, g *bipartite.Graph, cfg Config, seed int64
 	}
 	return total / float64(cfg.Samples), nil
 }
-
-// ExpectedCracksEnumerated computes the exact expected crack count of a small
-// explicit graph by exhaustive enumeration — ground truth for sampler tests.
-func ExpectedCracksEnumerated(ctx context.Context, e *bipartite.Explicit) (float64, error) {
-	total, sum := 0, 0
-	err := e.EnumeratePerfectMatchingsCtx(ctx, 0, func(match []int) {
-		total++
-		for w, x := range match {
-			if w == x {
-				sum++
-			}
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("matching: %w", bipartite.ErrInfeasible)
-	}
-	return float64(sum) / float64(total), nil
-}

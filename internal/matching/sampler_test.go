@@ -229,19 +229,6 @@ func TestEstimateChargesOpenProposals(t *testing.T) {
 	}
 }
 
-func TestExpectedCracksEnumerated(t *testing.T) {
-	got, err := ExpectedCracksEnumerated(context.Background(), bipartite.Complete(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("E(X) on K_4 = %v, want 1", got)
-	}
-	if _, err := ExpectedCracksEnumerated(context.Background(), bipartite.MustExplicit(2, [][]int{{1}, {1}})); err == nil {
-		t.Error("infeasible graph: want error")
-	}
-}
-
 func TestEstimateFraction(t *testing.T) {
 	e := &Estimate{Mean: 2.5}
 	if got := e.Fraction(10); got != 0.25 {
@@ -262,33 +249,24 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestSamplerDistributionMatchesExactSampler(t *testing.T) {
 	// Beyond expectations: compare the full crack-count histogram of the
-	// MCMC sampler against the exact uniform sampler on a random compliant
-	// graph. This catches biases that averages would hide.
+	// MCMC sampler against the exact P(X = k) of a uniform perfect matching,
+	// by enumeration, on a random compliant graph. This catches biases that
+	// averages would hide.
 	rng := rand.New(rand.NewSource(89))
 	ft := mustTable(t, 30, []int{4, 4, 9, 9, 9, 16, 16, 23})
 	bf := belief.RandomCompliant(ft.Frequencies(), 0.25, rng)
 	g := buildGraph(t, bf, ft)
-	exact, err := bipartite.NewExactSamplerCtx(context.Background(), g.ToExplicit())
+	exact, err := core.CrackDistributionCtx(context.Background(), g.ToExplicit())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := g.Items()
-	const draws = 20000
-	exactHist := make([]float64, n+1)
-	for k := 0; k < draws; k++ {
-		cracks := 0
-		for w, x := range exact.Sample(rng) {
-			if w == x {
-				cracks++
-			}
-		}
-		exactHist[cracks]++
-	}
 	s, err := NewSampler(context.Background(), g, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Reseed(50)
+	const draws = 20000
 	mcmcHist := make([]float64, n+1)
 	for k := 0; k < draws; k++ {
 		for sw := 0; sw < 3; sw++ {
@@ -297,7 +275,7 @@ func TestSamplerDistributionMatchesExactSampler(t *testing.T) {
 		mcmcHist[s.Cracks()]++
 	}
 	for k := 0; k <= n; k++ {
-		pe, pm := exactHist[k]/draws, mcmcHist[k]/draws
+		pe, pm := exact[k], mcmcHist[k]/draws
 		if diff := pe - pm; diff > 0.04 || diff < -0.04 {
 			t.Errorf("P(X=%d): exact %v vs MCMC %v", k, pe, pm)
 		}

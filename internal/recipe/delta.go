@@ -20,10 +20,11 @@ var ErrSessionBroken = errors.New("recipe: delta session broken by earlier failu
 
 // DeltaSession assesses an evolving release incrementally: it owns a copy of
 // the frequency table plus every derived structure Assess-Risk needs —
-// grouping, δ_med belief function, consistency graph, O-estimate
-// contributions, α-search item orders — and on each counts diff patches them
-// in place (dataset.ApplyDiffGrouping, bipartite.Rebin, core.OEDelta)
-// instead of rebuilding from scratch.
+// grouping, δ_med belief function, consistency graph, α-search item orders —
+// and on each counts diff patches them in place (dataset.ApplyDiffGrouping,
+// bipartite.Rebin) instead of rebuilding from scratch. Step 6 then runs the
+// full path's O-estimate (core.GraphTermsCtx, then SumCtx) on the patched
+// graph.
 //
 // The equivalence invariant (pinned by TestDeltaSessionMatchesFullAssess):
 // after any chain of diffs, AssessCtx returns a Result byte-identical —
@@ -43,7 +44,6 @@ type DeltaSession struct {
 	gr       *dataset.Grouping
 	deltaMed float64
 	g        *bipartite.Graph
-	oe       *core.OEDelta // nil when opts.Propagate (no restricted form)
 
 	// orders caches the α-search item orders. AssessRiskCtx draws them from
 	// opts.Rng at search-construction time; with a fresh rand.NewSource(seed)
@@ -52,7 +52,6 @@ type DeltaSession struct {
 	// generation serves every diff bit-identically.
 	orders [][]int
 
-	dirty  []int // items whose OE contribution awaits recomputation, ascending
 	last   *Result
 	broken bool
 }
@@ -81,11 +80,6 @@ func NewDeltaSessionCtx(ctx context.Context, ft *dataset.FrequencyTable, seed in
 	if s.g, err = bipartite.Build(bf, s.gr); err != nil {
 		return nil, err
 	}
-	if !opts.Propagate {
-		if s.oe, err = core.NewOEDeltaCtx(ctx, s.g); err != nil {
-			return nil, err
-		}
-	}
 	s.orders = uniformOrders(s.ft.NItems, opts.Runs, rng)
 	return s, nil
 }
@@ -109,7 +103,7 @@ func (s *DeltaSession) Broken() bool { return s.broken }
 // it before mutating); a failure after the table moved marks the session
 // broken. Assessment errors (budget exhaustion below the floor, canceled
 // context) do NOT break the session — the patched structures stay
-// consistent and a later AssessCtx retries the pending O-estimate work.
+// consistent and a later AssessCtx assesses them afresh.
 func (s *DeltaSession) ApplyDiffCtx(ctx context.Context, d *dataset.CountsDiff) (*Result, error) {
 	if s.broken {
 		return nil, ErrSessionBroken
@@ -124,7 +118,7 @@ func (s *DeltaSession) ApplyDiffCtx(ctx context.Context, d *dataset.CountsDiff) 
 	}
 	postMed := postGr.MedianGap()
 	postBF := belief.UniformWidth(s.ft.Frequencies(), postMed)
-	changed, err := s.g.Rebin(postBF, bipartite.RebinUpdate{
+	err = s.g.Rebin(postBF, bipartite.RebinUpdate{
 		Grouping:         postGr,
 		Delta:            rd,
 		ChangedIntervals: rd.Moved,
@@ -138,45 +132,26 @@ func (s *DeltaSession) ApplyDiffCtx(ctx context.Context, d *dataset.CountsDiff) 
 		return nil, fmt.Errorf("recipe: delta rebin: %w", err)
 	}
 	s.gr, s.deltaMed = postGr, postMed
-	s.dirty = mergeAscending(s.dirty, changed)
 	return s.AssessCtx(ctx)
 }
 
 // AssessCtx runs the staged Assess-Risk decision on the session's current
-// state, recomputing only the O-estimate contributions invalidated since the
-// last assessment.
+// state: step 6 and the α search are AssessRiskCtx's, run on the patched
+// graph instead of a rebuilt one.
 func (s *DeltaSession) AssessCtx(ctx context.Context) (*Result, error) {
 	if s.broken {
 		return nil, ErrSessionBroken
 	}
-	var step6 *core.OETerms // the terms step 6 computed, when it propagated
+	var terms *core.OETerms
 	oeFull := func(ctx context.Context) (float64, error) {
-		if s.oe == nil { // propagation has no restricted form; full pass on the patched graph
-			t, err := core.GraphTermsCtx(ctx, s.g, true)
-			if err != nil {
-				return 0, err
-			}
-			step6 = t
-			return t.SumCtx(ctx, bitset.Set{})
-		}
-		oe, err := s.oe.RefreshCtx(ctx, s.dirty)
-		if err != nil {
-			// Keep dirty: recompute is idempotent against the current graph,
-			// so the next assessment heals a partially-applied refresh.
+		var err error
+		if terms, err = core.GraphTermsCtx(ctx, s.g, s.opts.Propagate); err != nil {
 			return 0, err
 		}
-		s.dirty = s.dirty[:0]
-		return oe.Value, nil
+		return terms.SumCtx(ctx, bitset.Set{})
 	}
 	search := func(context.Context) (*AlphaSearch, error) {
-		// With propagation the search scans step 6's terms, so the
-		// assessment propagates once. The plain step 6 ran through OEDelta,
-		// so the search reads the patched graph's reciprocals per call.
-		terms := freshTerms(s.g, false)
-		if step6 != nil {
-			terms = fixedTerms(step6)
-		}
-		return &AlphaSearch{n: s.ft.NItems, orders: s.orders, terms: terms}, nil
+		return &AlphaSearch{n: s.ft.NItems, orders: s.orders, terms: fixedTerms(terms)}, nil
 	}
 	res, err := assessStaged(ctx, s.ft.NItems, s.opts, s.gr, oeFull, search)
 	if err != nil {
@@ -184,32 +159,4 @@ func (s *DeltaSession) AssessCtx(ctx context.Context) (*Result, error) {
 	}
 	s.last = res
 	return res, nil
-}
-
-// mergeAscending merges two ascending int slices into a, deduplicating.
-func mergeAscending(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append(a, b...)
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

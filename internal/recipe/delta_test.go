@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
@@ -57,13 +58,16 @@ func stripVolatile(r *Result) Result {
 }
 
 // TestDeltaSessionMatchesFullAssess is the end-to-end delta-equivalence
-// property of ISSUE 8: across ≥200 random (table, diff-chain) pairs, the
-// incremental path — ApplyDiff + ApplyDiffGrouping + Rebin + restricted
-// O-estimate + cached orders — produces a Result byte-identical (every
-// float compared with ==, no tolerance) to AssessRiskCtx on a freshly built
-// table with the same counts, options, and seed, and the session's digest
-// equals the rebuilt table's digest. Run at one worker and at GOMAXPROCS so
-// the parallel α sweep is covered at both extremes.
+// property: across ≥200 random (table, diff-chain) pairs, the incremental
+// path — ApplyDiff + ApplyDiffGrouping + Rebin + cached orders, then step 6
+// on the patched graph — produces a Result byte-identical (every float
+// compared with ==, no tolerance) to AssessRiskCtx on a freshly built table
+// with the same counts, options, and seed, and the session's digest equals
+// the rebuilt table's digest. On about half the steps both paths run under
+// the same budget.WithMaxOps limit, drawn from a second rng so the tables
+// and diffs stay those of the unlimited trials: they must then fail with the
+// same error or agree on the (possibly degraded) Result. Run at one worker
+// and at GOMAXPROCS so the parallel α sweep is covered at both extremes.
 func TestDeltaSessionMatchesFullAssess(t *testing.T) {
 	workerCounts := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
@@ -74,6 +78,7 @@ func TestDeltaSessionMatchesFullAssess(t *testing.T) {
 	for _, workers := range workerCounts {
 		ctx := parallel.WithWorkers(context.Background(), workers)
 		rng := rand.New(rand.NewSource(71))
+		limits := rand.New(rand.NewSource(72))
 		for trial := 0; trial < 200; trial++ {
 			ft := randomSessionTable(rng)
 			seed := rng.Int63()
@@ -91,10 +96,11 @@ func TestDeltaSessionMatchesFullAssess(t *testing.T) {
 			current := ft.Clone()
 			for step := 0; step < steps; step++ {
 				d := randomSessionDiff(rng, current)
-				got, err := sess.ApplyDiffCtx(ctx, d)
-				if err != nil {
-					t.Fatalf("workers=%d trial %d step %d: ApplyDiffCtx: %v", workers, trial, step, err)
+				stepCtx, limited := ctx, limits.Intn(2) == 0
+				if limited {
+					stepCtx = budget.WithMaxOps(ctx, 1+limits.Int63n(int64(8*opts.Runs*ft.NItems)))
 				}
+				got, gotErr := sess.ApplyDiffCtx(stepCtx, d)
 				if err := current.ApplyDiff(d); err != nil {
 					t.Fatalf("workers=%d trial %d step %d: reference ApplyDiff: %v", workers, trial, step, err)
 				}
@@ -104,17 +110,21 @@ func TestDeltaSessionMatchesFullAssess(t *testing.T) {
 				}
 				fopts := opts
 				fopts.Rng = rand.New(rand.NewSource(seed))
-				want, err := AssessRiskCtx(ctx, fresh, fopts)
-				if err != nil {
-					t.Fatalf("workers=%d trial %d step %d: AssessRiskCtx: %v", workers, trial, step, err)
+				want, wantErr := AssessRiskCtx(stepCtx, fresh, fopts)
+				if sess.Digest() != fresh.Digest() {
+					t.Fatalf("workers=%d trial %d step %d: session digest %s != rebuilt digest %s",
+						workers, trial, step, sess.Digest(), fresh.Digest())
+				}
+				if gotErr != nil || wantErr != nil {
+					if !limited || gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+						t.Fatalf("workers=%d trial %d step %d: delta error %v, full error %v",
+							workers, trial, step, gotErr, wantErr)
+					}
+					continue
 				}
 				if !reflect.DeepEqual(stripVolatile(got), stripVolatile(want)) {
 					t.Fatalf("workers=%d trial %d step %d: results diverged\n got %+v\nwant %+v\ndiff %+v",
 						workers, trial, step, stripVolatile(got), stripVolatile(want), d)
-				}
-				if sess.Digest() != fresh.Digest() {
-					t.Fatalf("workers=%d trial %d step %d: session digest %s != rebuilt digest %s",
-						workers, trial, step, sess.Digest(), fresh.Digest())
 				}
 				if sess.Result() != got {
 					t.Fatalf("workers=%d trial %d step %d: Result() does not return the last verdict",

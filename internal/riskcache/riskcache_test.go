@@ -107,12 +107,15 @@ func TestSingleFlightDedup(t *testing.T) {
 			vals[i], srcs[i] = v, src
 		}(i)
 	}
-	// Wait until one leader is in flight, then let everyone through.
+	// Wait until one leader is in flight and every other waiter has joined
+	// it, then let everyone through. Releasing earlier lets a late waiter
+	// find the stored value and read a hit instead of a coalesced wait.
 	deadline := time.After(5 * time.Second)
-	for computes.Load() == 0 {
+	for computes.Load() == 0 || c.Stats().Coalesced < waiters-1 {
 		select {
 		case <-deadline:
-			t.Fatal("no leader started")
+			t.Fatalf("waiters did not join one in-flight call: %d computes, %d coalesced",
+				computes.Load(), c.Stats().Coalesced)
 		default:
 			time.Sleep(time.Millisecond)
 		}

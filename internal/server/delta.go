@@ -6,9 +6,9 @@
 // The delta path composes three invariants proved lower in the stack:
 //
 //   - recipe.DeltaSession's equivalence property: a verdict computed by
-//     patching (ApplyDiffGrouping + bipartite.Rebin + core.OEDelta) is
-//     byte-identical to AssessRiskCtx on a freshly built table with the same
-//     counts, options, and seed.
+//     patching (ApplyDiffGrouping + bipartite.Rebin) and assessing the
+//     patched graph is byte-identical to AssessRiskCtx on a freshly built
+//     table with the same counts, options, and seed.
 //   - dataset.ApplyDiff's digest refresh: the applied table's digest equals
 //     the digest of a table built from scratch with the post-diff counts.
 //   - riskcache content addressing: the delta request's cache key is
