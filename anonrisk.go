@@ -265,14 +265,20 @@ func AttackTableCtx(ctx context.Context, bf *BeliefFunction, ft *FrequencyTable,
 
 	rep = AttackReport{Items: ft.NItems, Method: MethodOEstimate}
 
+	// One consistency graph serves both O-estimates and every tier.
+	g, gerr := bipartite.Build(bf, dataset.GroupItems(ft))
+	if gerr != nil {
+		return rep, gerr
+	}
+
 	// Floor first: the O-estimate must be available whatever happens to the
 	// expensive tiers, so it runs detached from the deadline (but aborts on
 	// explicit cancellation, checked above and inside the cascade below).
 	floorCtx := context.WithoutCancel(ctx)
-	oe, oerr := core.OEstimateCtx(floorCtx, bf, ft, core.OEOptions{Propagate: true})
+	oe, oerr := core.OEstimateGraphCtx(floorCtx, g, core.OEOptions{Propagate: true})
 	if errors.Is(oerr, bipartite.ErrInfeasible) {
 		rep.Infeasible = true
-		oe, oerr = core.OEstimateCtx(floorCtx, bf, ft, core.OEOptions{})
+		oe, oerr = core.OEstimateGraphCtx(floorCtx, g, core.OEOptions{})
 	}
 	if oerr != nil {
 		return rep, oerr
@@ -283,11 +289,6 @@ func AttackTableCtx(ctx context.Context, bf *BeliefFunction, ft *FrequencyTable,
 
 	if rep.Infeasible || (!opts.Exact && !opts.Simulate) {
 		return rep, nil
-	}
-
-	g, gerr := bipartite.Build(bf, dataset.GroupItems(ft))
-	if gerr != nil {
-		return rep, gerr
 	}
 
 	// Exact tier.
@@ -379,10 +380,14 @@ func AttackSubsetCtx(ctx context.Context, bf *BeliefFunction, db *Database, inte
 	if interest != nil {
 		marked = bitset.FromBools(interest)
 	}
-	oe, err := core.OEstimateCtx(ctx, bf, ft, core.OEOptions{Propagate: true, Interest: marked})
+	g, err := bipartite.Build(bf, dataset.GroupItems(ft))
+	if err != nil {
+		return rep, err
+	}
+	oe, err := core.OEstimateGraphCtx(ctx, g, core.OEOptions{Propagate: true, Interest: marked})
 	if errors.Is(err, bipartite.ErrInfeasible) {
 		rep.Infeasible = true
-		oe, err = core.OEstimateCtx(ctx, bf, ft, core.OEOptions{Interest: marked})
+		oe, err = core.OEstimateGraphCtx(ctx, g, core.OEOptions{Interest: marked})
 	}
 	if err != nil {
 		return rep, err

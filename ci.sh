@@ -8,12 +8,13 @@
 #   ./ci.sh -bench   additionally run the parallel-engine benchmarks at
 #                    GOMAXPROCS=1 and GOMAXPROCS=nproc plus the kernel
 #                    microbenchmarks (bitset O-estimate scan vs the boolean
-#                    loop it replaced; one PUMSB alpha binary search at
-#                    riskd's defaults) and emit BENCH_parallel.json (one run
-#                    object per gomaxprocs with ns/op and speedup vs serial
-#                    per worker count, a microbenchmarks section, and — on
-#                    single-core machines — a flat_parallel_warning note)
-#                    to track the perf trajectory
+#                    loop it replaced; one PUMSB alpha binary search and one
+#                    RETAIL delta-session diff at riskd's defaults) and emit
+#                    BENCH_parallel.json (one run object per gomaxprocs with
+#                    ns/op and speedup vs serial per worker count, a
+#                    microbenchmarks section, and — on single-core machines —
+#                    a flat_parallel_warning note) to track the perf
+#                    trajectory
 #   ./ci.sh -serve   additionally run the riskd serving smoke test
 #                    (ephemeral port, health probe, assess round-trip,
 #                    cached repeat, clean shutdown)
@@ -31,13 +32,12 @@
 #                    under internal/experiments/testdata/registry/ (exit 3
 #                    from `experiments diff` — any changed cell — fails CI)
 #   ./ci.sh -delta   additionally run the incremental-assessment suite under
-#                    -race (delta/full equivalence across dataset, bipartite
-#                    and recipe — the session's step 6 is the full path's
-#                    O-estimate, so core holds no delta proof of its own; the
-#                    /v1/assess/delta and subscribe server tests; the client
-#                    Retry-After and SSE tests) plus the
-#                    riskd -selfcheck smoke, whose delta leg evolves a
-#                    release through a subscribe stream end to end
+#                    -race (the counts-diff contract in dataset; delta/full
+#                    equivalence in recipe, where a session runs the full
+#                    recipe on its own table; the /v1/assess/delta and
+#                    subscribe server tests; the client Retry-After and SSE
+#                    tests) plus the riskd -selfcheck smoke, whose delta leg
+#                    evolves a release through a subscribe stream end to end
 #   ./ci.sh -escape-update  regenerate the kernel escape-analysis baseline
 #                    (internal/analysis/escapegate/baseline.txt) before
 #                    gating, for use after a deliberate allocation change
@@ -162,11 +162,13 @@ if [ -n "$bench" ]; then
 	fi
 	# Kernel microbenchmarks: the word-parallel O-estimate scan vs the
 	# historical boolean loop it replaced, recorded with the bitset kernel's
-	# speedup so the perf trajectory pins the win (target: >= 2x), and one
+	# speedup so the perf trajectory pins the win (target: >= 2x); one
 	# alpha binary search on the PUMSB profile (the search a pumsb_cold
-	# request runs), recorded with its allocations.
+	# request runs); and one delta-session diff on the RETAIL profile (the
+	# update a retail_delta request runs). The last two are recorded with
+	# their allocations.
 	echo "-- kernel microbenchmarks --"
-	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin' -benchtime 2s \
+	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin|BenchmarkApplyDiffRETAIL' -benchtime 2s \
 		./internal/core/ ./internal/recipe/ |
 		tee BENCH_micro.txt |
 		awk '
@@ -178,10 +180,14 @@ if [ -n "$bench" ]; then
 		}
 		/^BenchmarkMaxAlphaWithin(-[0-9]+)?[ \t]/ {
 			ns["search"] = $3 + 0
-			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs = $i + 0
+			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs["search"] = $i + 0
+		}
+		/^BenchmarkApplyDiffRETAIL(-[0-9]+)?[ \t]/ {
+			ns["delta"] = $3 + 0
+			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs["delta"] = $i + 0
 		}
 		END {
-			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns)) {
+			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns) || !("delta" in ns)) {
 				print "ci.sh: no microbenchmark output to parse" > "/dev/stderr"
 				exit 1
 			}
@@ -191,7 +197,8 @@ if [ -n "$bench" ]; then
 			printf "      \"impl=bools\": {\"ns_per_op\": %.0f},\n", ns["impl=bools"]
 			printf "      \"impl=bitset\": {\"ns_per_op\": %.0f, \"speedup_vs_bools\": %.3f}\n", ns["impl=bitset"], sp
 			printf "    },\n"
-			printf "    \"MaxAlphaWithin\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d}\n", ns["search"], allocs
+			printf "    \"MaxAlphaWithin\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["search"], allocs["search"]
+			printf "    \"ApplyDiffRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d}\n", ns["delta"], allocs["delta"]
 			printf "  },\n"
 		}' >>BENCH_parallel.tmp
 	printf '  "runs": [' >>BENCH_parallel.tmp
@@ -288,13 +295,14 @@ fi
 
 if [ -n "$delta" ]; then
 	echo "== incremental assessment suite (-race) =="
-	# The delta path's whole claim is bit-for-bit equivalence with a full
-	# rebuild, so this runs the equivalence proofs at every layer plus the
+	# A delta is ApplyDiff plus the full recipe, so its claim is the diff
+	# contract plus bit-for-bit equivalence with a full assess, in the
+	# library and over the wire; this runs those proofs plus the
 	# serving/client protocol tests in one focused, race-enabled pass.
 	go test -race -count=1 \
-		-run 'Diff|Delta|Rebin|Subscribe|RetryAfter' \
-		./internal/dataset/ ./internal/bipartite/ ./internal/core/ \
-		./internal/recipe/ ./internal/server/ ./internal/riskclient/
+		-run 'Diff|Delta|Subscribe|RetryAfter' \
+		./internal/dataset/ ./internal/recipe/ ./internal/server/ \
+		./internal/riskclient/
 	echo "== riskd delta + subscribe smoke =="
 	go run ./cmd/riskd -selfcheck
 fi

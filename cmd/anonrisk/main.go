@@ -121,10 +121,14 @@ func runAttack(ctx context.Context, ft *dataset.FrequencyTable, path, name strin
 	fmt.Printf("dataset          %s (%d items, %d transactions)\n", name, ft.NItems, ft.NTransactions)
 	fmt.Printf("belief function  %s (compliancy α = %.3f)\n", path, alpha)
 
-	oe, err := core.OEstimateCtx(ctx, bf, ft, core.OEOptions{Propagate: true})
+	g, err := bipartite.Build(bf, dataset.GroupItems(ft))
+	if err != nil {
+		fatal(err)
+	}
+	oe, err := core.OEstimateGraphCtx(ctx, g, core.OEOptions{Propagate: true})
 	if errors.Is(err, bipartite.ErrInfeasible) {
 		fmt.Println("note             no globally consistent mapping; §5.3 per-item estimate")
-		oe, err = core.OEstimateCtx(ctx, bf, ft, core.OEOptions{})
+		oe, err = core.OEstimateGraphCtx(ctx, g, core.OEOptions{})
 	}
 	if err != nil {
 		fatal(err)

@@ -46,9 +46,8 @@ type Graph struct {
 	// Word-packed kernels (DESIGN.md §16): compliant has bit x set when
 	// Compliant(x), so the O-estimate scans 64 items per load; invSpan[x] is
 	// the reciprocal 1/candSpan[x] (0 for empty ranges), precomputed so the
-	// scan's float adds skip the per-item division. Both are derived state:
-	// Build fills them and Rebin keeps them consistent, exactly like the flat
-	// candidate layout.
+	// scan's float adds skip the per-item division. Both are derived state
+	// that Build fills, exactly like the flat candidate layout.
 	compliant bitset.Set
 	invSpan   []float64
 }

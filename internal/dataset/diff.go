@@ -3,17 +3,15 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // CountsDiff is a sparse delta between two frequency tables over the same
 // universe: the recurring-release setting of Section 6 re-assesses nearly
 // identical data, where a day of new transactions moves a handful of support
 // counts. Applying a diff to the pre-release table yields the post-release
-// table exactly, so the delta assessment pipeline (bipartite.Rebin,
-// recipe.DeltaSession) can patch its structures in place instead of
-// rebuilding them, while remaining bit-for-bit equivalent to a full
-// recompute.
+// table exactly, digest included, so a client can send a diff instead of
+// the whole table and recipe.DeltaSession runs the full recipe on the
+// applied table: bit-for-bit the verdict a full recompute gives.
 type CountsDiff struct {
 	// DTransactions is the change to NTransactions (post = pre + DTransactions).
 	DTransactions int `json:"dtransactions,omitempty"`
@@ -116,140 +114,4 @@ func (ft *FrequencyTable) ApplyDiff(d *CountsDiff) error {
 	}
 	ft.digest.Store(nil)
 	return nil
-}
-
-// RebinDelta reports how a Grouping changed under a CountsDiff — the work
-// order for bipartite.Rebin.
-type RebinDelta struct {
-	// FreqsChanged marks that the distinct-frequency vector changed: the
-	// transaction total moved (every group frequency shifts) or the set of
-	// distinct counts changed (groups appeared or vanished). When false, the
-	// graph's Freqs array — and every belief range computed against it — is
-	// still valid.
-	FreqsChanged bool
-	// Moved lists the items whose frequency-group membership changed,
-	// ascending. A nonzero count delta always moves its item (grouping is by
-	// exact count), so this equals the diff's item list.
-	Moved []int
-	// FirstGroup is the index, in the NEW grouping, of the first group whose
-	// (count, membership) pair differs from the old grouping; NumGroups when
-	// only frequencies moved. Groups below it are identical in both, so the
-	// graph's flat candidate array is untouched below its prefix offset.
-	FirstGroup int
-}
-
-// ApplyDiffGrouping returns the grouping of the post-diff table, reusing the
-// member slices of every group the diff left alone, plus the RebinDelta
-// describing what changed. gr must be the grouping of the table BEFORE the
-// diff was applied, and post the same table AFTER ApplyDiff(d) — the
-// pre-diff counts are reconstructed as post.Counts[x] - d.Deltas[i].
-//
-// The result is structurally identical to GroupItems(post): same groups,
-// same order, same membership — the delta-equivalence property the
-// incremental assessment pipeline rests on.
-func ApplyDiffGrouping(gr *Grouping, post *FrequencyTable, d *CountsDiff) (*Grouping, *RebinDelta, error) {
-	if gr.NumItems() != post.NItems {
-		return nil, nil, fmt.Errorf("dataset: grouping universe %d vs table %d", gr.NumItems(), post.NItems)
-	}
-	// Per-count removal and addition sets for the touched counts only.
-	removed := make(map[int][]int) // pre count  -> items leaving it
-	added := make(map[int][]int)   // post count -> items entering it
-	for i, x := range d.Items {
-		pre := post.Counts[x] - d.Deltas[i]
-		post_ := post.Counts[x]
-		removed[pre] = append(removed[pre], x)
-		added[post_] = append(added[post_], x)
-	}
-	// Counts that gain members but have no existing group, ascending.
-	var newCounts []int
-	have := make(map[int]bool, len(gr.Groups))
-	for _, g := range gr.Groups {
-		have[g.Count] = true
-	}
-	for c := range added {
-		if !have[c] {
-			newCounts = append(newCounts, c)
-		}
-	}
-	sort.Ints(newCounts)
-
-	out := &Grouping{
-		NTransactions: post.NTransactions,
-		Groups:        make([]Group, 0, len(gr.Groups)+len(newCounts)),
-		itemGroup:     append([]int(nil), gr.itemGroup...),
-	}
-	rd := &RebinDelta{
-		FreqsChanged: d.DTransactions != 0,
-		Moved:        append([]int(nil), d.Items...),
-		FirstGroup:   -1,
-	}
-	m := float64(post.NTransactions)
-	ni := 0 // cursor into newCounts
-	emit := func(count int, items []int, identical bool) {
-		if !identical && rd.FirstGroup < 0 {
-			rd.FirstGroup = len(out.Groups)
-		}
-		out.Groups = append(out.Groups, Group{Count: count, Items: items, Freq: float64(count) / m})
-	}
-	for _, g := range gr.Groups {
-		for ni < len(newCounts) && newCounts[ni] < g.Count {
-			c := newCounts[ni]
-			items := append([]int(nil), added[c]...)
-			sort.Ints(items)
-			rd.FreqsChanged = true
-			emit(c, items, false)
-			ni++
-		}
-		rm, ad := removed[g.Count], added[g.Count]
-		if len(rm) == 0 && len(ad) == 0 {
-			emit(g.Count, g.Items, true) // untouched: share the member slice
-			continue
-		}
-		items := mergeMembers(g.Items, rm, ad)
-		if len(items) == 0 {
-			rd.FreqsChanged = true // group vanished: the frequency vector shrinks
-			if rd.FirstGroup < 0 {
-				rd.FirstGroup = len(out.Groups)
-			}
-			continue
-		}
-		emit(g.Count, items, false)
-	}
-	for ; ni < len(newCounts); ni++ {
-		c := newCounts[ni]
-		items := append([]int(nil), added[c]...)
-		sort.Ints(items)
-		rd.FreqsChanged = true
-		emit(c, items, false)
-	}
-	if rd.FirstGroup < 0 {
-		rd.FirstGroup = len(out.Groups)
-	}
-	// Groups at or beyond the first change may sit at shifted indices even
-	// when their membership is unchanged; re-point their members.
-	for gi := rd.FirstGroup; gi < len(out.Groups); gi++ {
-		for _, x := range out.Groups[gi].Items {
-			out.itemGroup[x] = gi
-		}
-	}
-	return out, rd, nil
-}
-
-// mergeMembers removes rm from the sorted member list and merges in ad,
-// returning a fresh sorted slice (the input is shared with the old grouping
-// and never mutated).
-func mergeMembers(items, rm, ad []int) []int {
-	drop := make(map[int]bool, len(rm))
-	for _, x := range rm {
-		drop[x] = true
-	}
-	out := make([]int, 0, len(items)-len(rm)+len(ad))
-	for _, x := range items {
-		if !drop[x] {
-			out = append(out, x)
-		}
-	}
-	out = append(out, ad...)
-	sort.Ints(out)
-	return out
 }

@@ -103,115 +103,3 @@ func randomTable(rng *rand.Rand) *FrequencyTable {
 	}
 	return ft
 }
-
-// randomDiff builds a valid random diff against ft: a few count moves, and
-// sometimes a transaction-total change.
-func randomDiff(rng *rand.Rand, ft *FrequencyTable) *CountsDiff {
-	d := &CountsDiff{}
-	if rng.Intn(2) == 0 {
-		d.DTransactions = 1 + rng.Intn(5) // grow only; shrink can invalidate untouched counts
-	}
-	newM := ft.NTransactions + d.DTransactions
-	k := 1 + rng.Intn(ft.NItems)
-	for x := 0; x < ft.NItems && len(d.Items) < k; x++ {
-		if rng.Intn(2) == 1 {
-			continue
-		}
-		c := rng.Intn(newM + 1)
-		if c == ft.Counts[x] {
-			c = (c + 1) % (newM + 1)
-		}
-		d.Items = append(d.Items, x)
-		d.Deltas = append(d.Deltas, c-ft.Counts[x])
-	}
-	return d
-}
-
-func TestApplyDiffGroupingMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 300; trial++ {
-		ft := randomTable(rng)
-		gr := GroupItems(ft)
-		d := randomDiff(rng, ft)
-		post := ft.Clone()
-		if err := post.ApplyDiff(d); err != nil {
-			t.Fatalf("trial %d: ApplyDiff: %v", trial, err)
-		}
-		got, rd, err := ApplyDiffGrouping(gr, post, d)
-		if err != nil {
-			t.Fatalf("trial %d: ApplyDiffGrouping: %v", trial, err)
-		}
-		want := GroupItems(post)
-		if got.NTransactions != want.NTransactions {
-			t.Fatalf("trial %d: NTransactions %d vs %d", trial, got.NTransactions, want.NTransactions)
-		}
-		if !reflect.DeepEqual(got.Groups, want.Groups) {
-			t.Fatalf("trial %d: groups diverged\n got %+v\nwant %+v\ndiff %+v", trial, got.Groups, want.Groups, d)
-		}
-		if !reflect.DeepEqual(got.itemGroup, want.itemGroup) {
-			t.Fatalf("trial %d: itemGroup diverged\n got %v\nwant %v", trial, got.itemGroup, want.itemGroup)
-		}
-
-		// RebinDelta invariants.
-		if !reflect.DeepEqual(rd.Moved, d.Items) && !(len(rd.Moved) == 0 && len(d.Items) == 0) {
-			t.Fatalf("trial %d: Moved %v, want %v", trial, rd.Moved, d.Items)
-		}
-		if rd.FirstGroup < 0 || rd.FirstGroup > len(got.Groups) {
-			t.Fatalf("trial %d: FirstGroup %d outside [0,%d]", trial, rd.FirstGroup, len(got.Groups))
-		}
-		for gi := 0; gi < rd.FirstGroup; gi++ {
-			if gi >= len(gr.Groups) ||
-				gr.Groups[gi].Count != got.Groups[gi].Count ||
-				!reflect.DeepEqual(gr.Groups[gi].Items, got.Groups[gi].Items) {
-				t.Fatalf("trial %d: group %d below FirstGroup=%d differs from old grouping",
-					trial, gi, rd.FirstGroup)
-			}
-		}
-		wantFreqsChanged := d.DTransactions != 0 || !reflect.DeepEqual(distinctCounts(gr), distinctCounts(want))
-		if rd.FreqsChanged != wantFreqsChanged {
-			t.Fatalf("trial %d: FreqsChanged = %v, want %v (diff %+v)", trial, rd.FreqsChanged, wantFreqsChanged, d)
-		}
-		if !rd.FreqsChanged && !reflect.DeepEqual(gr.Freqs(), want.Freqs()) {
-			t.Fatalf("trial %d: FreqsChanged=false but frequency vector moved", trial)
-		}
-	}
-}
-
-func distinctCounts(gr *Grouping) []int {
-	cs := make([]int, len(gr.Groups))
-	for i, g := range gr.Groups {
-		cs[i] = g.Count
-	}
-	return cs
-}
-
-// TestApplyDiffGroupingSharesUntouchedSlices pins the reuse property the
-// incremental path exists for: groups the diff does not touch share their
-// member slices with the old grouping rather than being copied.
-func TestApplyDiffGroupingSharesUntouchedSlices(t *testing.T) {
-	ft := mustTable(t, 10, []int{1, 1, 3, 5, 5, 7})
-	gr := GroupItems(ft)
-	d := &CountsDiff{Items: []int{2}, Deltas: []int{2}} // 3 -> 5
-	post := ft.Clone()
-	if err := post.ApplyDiff(d); err != nil {
-		t.Fatal(err)
-	}
-	got, rd, err := ApplyDiffGrouping(gr, post, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Old groups: count 1 {0,1}, 3 {2}, 5 {3,4}, 7 {5}.
-	// New groups: count 1 {0,1}, 5 {2,3,4}, 7 {5}. FirstGroup = 1.
-	if rd.FirstGroup != 1 {
-		t.Fatalf("FirstGroup = %d, want 1", rd.FirstGroup)
-	}
-	if &got.Groups[0].Items[0] != &gr.Groups[0].Items[0] {
-		t.Fatal("untouched group 0 did not share its member slice")
-	}
-	if &got.Groups[2].Items[0] != &gr.Groups[3].Items[0] {
-		t.Fatal("untouched (but shifted) group did not share its member slice")
-	}
-	if !rd.FreqsChanged {
-		t.Fatal("a vanished group must set FreqsChanged")
-	}
-}

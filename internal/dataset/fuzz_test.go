@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,9 +60,8 @@ func FuzzReadFIMI(f *testing.F) {
 // FuzzCountsDiff asserts the diff contract on an arbitrary table (n ≤ 64)
 // and an arbitrary diff, out-of-range, unsorted and zero entries included:
 // Validate accepts exactly what ApplyDiff applies; a rejected diff leaves
-// the table's digest as it was; an accepted one leaves the digest of a
-// table built afresh from the edited counts; and the patched grouping is
-// GroupItems of the post-diff table.
+// the table's digest as it was; and an accepted one leaves the digest of a
+// table built afresh from the edited counts.
 func FuzzCountsDiff(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(0), []byte{0, 2}, []byte{1, 0xff})
 	f.Add([]byte{3, 1, 4, 1, 5}, uint8(9), int8(2), []byte{1, 3, 4}, []byte{2, 2, 0xfe})
@@ -98,7 +96,6 @@ func FuzzCountsDiff(f *testing.F) {
 		for _, b := range deltas {
 			d.Deltas = append(d.Deltas, int(int8(b)))
 		}
-		pre := GroupItems(ft)
 		before := ft.Digest()
 
 		verr := d.Validate(ft)
@@ -127,16 +124,6 @@ func FuzzCountsDiff(f *testing.F) {
 		}
 		if ft.Digest() != fresh.Digest() {
 			t.Fatalf("digest after ApplyDiff %s, rebuilt %s", ft.Digest(), fresh.Digest())
-		}
-
-		got, _, err := ApplyDiffGrouping(pre, ft, d)
-		if err != nil {
-			t.Fatalf("ApplyDiffGrouping: %v", err)
-		}
-		wantGr := GroupItems(fresh)
-		if !reflect.DeepEqual(got.Groups, wantGr.Groups) || !reflect.DeepEqual(got.itemGroup, wantGr.itemGroup) {
-			t.Fatalf("patched grouping %+v / %v, GroupItems %+v / %v",
-				got.Groups, got.itemGroup, wantGr.Groups, wantGr.itemGroup)
 		}
 	})
 }

@@ -44,7 +44,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() (Options, error) {
-	if o.Tolerance <= 0 || o.Tolerance >= 1 {
+	if !(o.Tolerance > 0 && o.Tolerance < 1) {
 		return o, fmt.Errorf("recipe: tolerance %v outside (0,1)", o.Tolerance)
 	}
 	if o.Rng == nil {
@@ -138,43 +138,8 @@ func AssessRiskCtx(ctx context.Context, ft *dataset.FrequencyTable, opts Options
 	if err != nil {
 		return nil, err
 	}
+	n := ft.NItems
 	gr := dataset.GroupItems(ft)
-	// Step 6 builds the δ_med consistency graph and its O-estimate terms
-	// once, propagating when asked, and the step-8 α search scans those
-	// terms under each probe's mask. α-compliance only changes which items
-	// count, so one propagation — the dominant cost of a propagated
-	// O-estimate — serves every probe bit-identically.
-	var terms *core.OETerms
-	oeFull := func(ctx context.Context) (float64, error) {
-		bf := belief.UniformWidth(ft.Frequencies(), gr.MedianGap())
-		g, err := bipartite.Build(bf, gr)
-		if err != nil {
-			return 0, err
-		}
-		if terms, err = core.GraphTermsCtx(ctx, g, opts.Propagate); err != nil {
-			return 0, err
-		}
-		return terms.SumCtx(ctx, bitset.Set{})
-	}
-	search := func(context.Context) (*AlphaSearch, error) {
-		return &AlphaSearch{
-			n:      ft.NItems,
-			orders: uniformOrders(ft.NItems, opts.Runs, opts.Rng),
-			terms:  fixedTerms(terms),
-		}, nil
-	}
-	return assessStaged(ctx, ft.NItems, opts, gr, oeFull, search)
-}
-
-// assessStaged is the staged decision logic of Figure 8, shared verbatim by
-// the full path (AssessRiskCtx) and the incremental path (DeltaSession) so
-// the two can never drift: the expensive stages arrive as lazy evaluators
-// and everything else — short circuits, degradation, provenance — lives
-// here once. oeFull is only called when steps 1-2 do not settle the verdict,
-// and search only when step 7 does not.
-func assessStaged(ctx context.Context, n int, opts Options, gr *dataset.Grouping,
-	oeFull func(context.Context) (float64, error),
-	search func(context.Context) (*AlphaSearch, error)) (*Result, error) {
 	crackBudget := opts.Tolerance * float64(n)
 	res := &Result{
 		Items:     n,
@@ -198,13 +163,24 @@ func assessStaged(ctx context.Context, n int, opts Options, gr *dataset.Grouping
 		return res, nil
 	}
 
-	// Steps 3-6: compliant interval belief function with width δ_med.
+	// Steps 3-6: compliant interval belief function with width δ_med. Step 6
+	// builds the δ_med consistency graph and its O-estimate terms once,
+	// propagating when asked, and the step-8 α search scans those terms
+	// under each probe's mask. α-compliance only changes which items count,
+	// so one propagation — the dominant cost of a propagated O-estimate —
+	// serves every probe bit-identically.
 	res.DeltaMed = gr.MedianGap()
-	v, err := oeFull(ctx)
+	g, err := bipartite.Build(belief.UniformWidth(ft.Frequencies(), res.DeltaMed), gr)
 	if err != nil {
 		return nil, err
 	}
-	res.OEFull = v
+	terms, err := core.GraphTermsCtx(ctx, g, opts.Propagate)
+	if err != nil {
+		return nil, err
+	}
+	if res.OEFull, err = terms.SumCtx(ctx, bitset.Set{}); err != nil {
+		return nil, err
+	}
 
 	// Step 7.
 	if res.OEFull <= crackBudget {
@@ -218,10 +194,7 @@ func assessStaged(ctx context.Context, n int, opts Options, gr *dataset.Grouping
 	// int(αn + 0.5) items (αn rounded to nearest, halves up), so the sets
 	// are nested across α exactly as Lemma 10's monotonicity requires
 	// (Section 6.2).
-	s, err := search(ctx)
-	if err != nil {
-		return nil, err
-	}
+	s := &AlphaSearch{n: n, orders: uniformOrders(n, opts.Runs, opts.Rng), terms: fixedTerms(terms)}
 	res.Stage = StageAlphaSearch
 	res.AlphaMax, err = s.MaxAlphaWithinCtx(ctx, crackBudget, opts.AlphaPrecision)
 	if budget.Degradable(err) {

@@ -29,6 +29,9 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: 1, Rng: rng}); err == nil {
 		t.Error("tolerance 1: want error")
 	}
+	if _, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: math.NaN(), Rng: rng}); err == nil {
+		t.Error("tolerance NaN: want error")
+	}
 	if _, err := AssessRiskCtx(context.Background(), ft, Options{Tolerance: 0.5}); err == nil {
 		t.Error("missing rng: want error")
 	}

@@ -3,12 +3,14 @@
 // the evolved release; GET /v1/assess/subscribe holds an SSE stream open and
 // pushes every fresh verdict for the digests it watches.
 //
-// The delta path composes three invariants proved lower in the stack:
+// A delta ships the diff, not the table; its computation is the full one.
+// Each delta builds a recipe.DeltaSession from the registered base table,
+// which applies the diff to its own copy and runs recipe.AssessRiskCtx on
+// it. The delta path composes three invariants proved lower in the stack:
 //
-//   - recipe.DeltaSession's equivalence property: a verdict computed by
-//     patching (ApplyDiffGrouping + bipartite.Rebin) and assessing the
-//     patched graph is byte-identical to AssessRiskCtx on a freshly built
-//     table with the same counts, options, and seed.
+//   - recipe.DeltaSession's equivalence property: its verdict is
+//     byte-identical to AssessRiskCtx on a freshly built table with the same
+//     counts, options, and seed, because that is the call it makes.
 //   - dataset.ApplyDiff's digest refresh: the applied table's digest equals
 //     the digest of a table built from scratch with the post-diff counts.
 //   - riskcache content addressing: the delta request's cache key is
@@ -17,14 +19,6 @@
 //     through the delta path therefore hits for full requests and vice
 //     versa; the cache cannot tell the two paths apart, because there is
 //     nothing to tell apart.
-//
-// Sessions are pooled between requests keyed by (current digest, options):
-// a client chaining diffs release after release keeps hitting the same warm
-// session, and each hop costs the patch, not the rebuild. A pool miss falls
-// back to building a session from the registered base table — still
-// incremental for the diff itself. Sessions are checked out exclusively, so
-// concurrent deltas against one base each get their own (the losers build
-// fresh ones); broken sessions are dropped, never pooled.
 //
 // Subscribe streams are deliberately NOT counted in inflightJobs: they are
 // long-lived by design, and counting them would deadlock DrainWait. Instead
@@ -83,8 +77,10 @@ type DiffSpec struct {
 type DeltaResponse struct {
 	AssessResponse
 	BaseDigest string `json:"base_digest,omitempty"`
-	// Incremental: the verdict came from a session patch rather than a full
-	// rebuild. Provenance only — the bytes are identical either way.
+	// Incremental: this request computed the verdict with a
+	// recipe.DeltaSession — not a cache hit, not a coalesced wait, and not
+	// an injected AssessFn. Provenance only: the bytes are identical either
+	// way.
 	Incremental bool `json:"incremental,omitempty"`
 }
 
@@ -117,57 +113,16 @@ func applyOptionParams(job *Job, tau *float64, runs int, seed *int64, comfort fl
 func deltaJob(ft *dataset.FrequencyTable, req *DeltaRequest) (*Job, error) {
 	job := &Job{Table: ft}
 	applyOptionParams(job, req.Tau, req.Runs, req.Seed, req.Comfort, req.Propagate)
-	if job.Tau <= 0 || job.Tau >= 1 {
+	if !(job.Tau > 0 && job.Tau < 1) {
 		return nil, fmt.Errorf("server: tau %v outside (0,1)", job.Tau)
 	}
 	job.Key = riskcache.Key(ft.Digest(), "", canonicalOptions(job))
 	return job, nil
 }
 
-// sessionKey addresses the warm-session pool: the session is reusable only
-// for requests over the same table state with the same options (the seed is
-// part of canonicalOptions, and the session's rng stream is seed-derived).
-func sessionKey(digest string, job *Job) string {
-	return riskcache.Key("session", digest, canonicalOptions(job))
-}
-
-func (s *Server) takeSession(key string) *recipe.DeltaSession {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if sess, ok := s.sessions[key]; ok {
-		delete(s.sessions, key)
-		return sess
-	}
-	return nil
-}
-
-func (s *Server) putSession(key string, sess *recipe.DeltaSession) {
-	if sess == nil || sess.Broken() || s.cfg.SessionEntries < 0 {
-		return
-	}
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if len(s.sessions) >= s.cfg.SessionEntries {
-		// Bounded pool, arbitrary victim: sessions are a pure performance
-		// cache (any miss rebuilds from the table registry), so eviction
-		// order does not affect correctness.
-		for k := range s.sessions {
-			delete(s.sessions, k)
-			break
-		}
-	}
-	s.sessions[key] = sess
-}
-
-func (s *Server) sessionCount() int {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	return len(s.sessions)
-}
-
 func (s *Server) handleAssessDelta(w http.ResponseWriter, r *http.Request) {
 	startReq := time.Now()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req DeltaRequest
@@ -256,8 +211,8 @@ func (s *Server) handleAssessDelta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// deltaAssess computes the evolved verdict, preferring a warm session patch
-// over a full rebuild. Sets *incremental when the session path ran.
+// deltaAssess computes the evolved verdict with a recipe.DeltaSession built
+// from the registered base table. Sets *incremental when the session ran.
 func (s *Server) deltaAssess(ctx context.Context, base *dataset.FrequencyTable, job *Job, d *dataset.CountsDiff, incremental *bool) (*Outcome, error) {
 	if !s.realPipeline {
 		// Injected stand-in (tests): job.Table already holds the applied
@@ -269,32 +224,20 @@ func (s *Server) deltaAssess(ctx context.Context, base *dataset.FrequencyTable, 
 			return nil, err
 		}
 	}
-	sess := s.takeSession(sessionKey(base.Digest(), job))
-	if sess == nil {
-		var err error
-		sess, err = recipe.NewDeltaSessionCtx(ctx, base, job.Seed, recipe.Options{
-			Tolerance:    job.Tau,
-			Runs:         job.Runs,
-			Propagate:    job.Propagate,
-			AlphaComfort: job.Comfort,
-		})
-		if err != nil {
-			return nil, err
-		}
+	sess, err := recipe.NewDeltaSessionCtx(ctx, base, job.Seed, recipe.Options{
+		Tolerance:    job.Tau,
+		Runs:         job.Runs,
+		Propagate:    job.Propagate,
+		AlphaComfort: job.Comfort,
+	})
+	if err != nil {
+		return nil, err
 	}
 	res, err := sess.ApplyDiffCtx(ctx, d)
 	if err != nil {
-		// An assessment error after a clean patch leaves the session
-		// consistent but advanced: pool it under its CURRENT digest so a
-		// retry of the evolved state finds it warm. putSession drops broken
-		// sessions itself.
-		if !sess.Broken() {
-			s.putSession(sessionKey(sess.Digest(), job), sess)
-		}
 		return nil, err
 	}
 	*incremental = true
-	s.putSession(sessionKey(sess.Digest(), job), sess)
 	return recipeOutcome(res), nil
 }
 

@@ -10,10 +10,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/recipe"
 )
 
 // postDelta sends a delta request and decodes the response.
@@ -109,36 +112,84 @@ func TestDeltaEquivalentToFullAssess(t *testing.T) {
 	}
 }
 
-// TestDeltaChainThroughSessions walks a chain of diffs, each using the
-// previous response's digest as its base, and checks the warm-session path
-// serves every hop.
+// TestDeltaChainThroughSessions walks chains of diffs, each using the
+// previous response's digest as its base, and checks that a DeltaSession
+// computes every hop and that each hop's outcome equals an independent
+// server's full /v1/assess of the same counts, timings aside. One chain
+// reaches the α search with propagation on; the other settles at the
+// point-valued stage.
 func TestDeltaChainThroughSessions(t *testing.T) {
-	s := New(Config{})
-	h := s.Handler()
-	var base AssessResponse
-	if rec := post(t, h, countsBody(15, `, "runs": 2`), &base); rec.Code != http.StatusOK {
-		t.Fatalf("base assess: HTTP %d: %s", rec.Code, rec.Body.String())
+	alternating := make([]int, 20)
+	for i := range alternating {
+		alternating[i] = 4 + 4*(i%2)
 	}
-	digest := base.Digest
-	for hop := 0; hop < 4; hop++ {
-		var dres DeltaResponse
-		body := deltaBody(digest, 0, []int{hop}, []int{1}, `, "runs": 2`)
-		if rec := postDelta(t, h, body, &dres); rec.Code != http.StatusOK {
-			t.Fatalf("hop %d: HTTP %d: %s", hop, rec.Code, rec.Body.String())
-		}
-		if !dres.Incremental {
-			t.Errorf("hop %d: want incremental", hop)
-		}
-		if dres.Recipe == nil {
-			t.Fatalf("hop %d: no recipe outcome", hop)
-		}
-		digest = dres.Digest
+	chains := []struct {
+		name   string
+		m      int
+		counts []int
+		extra  string
+		method string
+	}{
+		{"alpha search", 30, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, `, "runs": 2`,
+			recipe.StageAlphaSearch.String()},
+		{"point-valued", 20, alternating, `, "tau": 0.3`, recipe.StagePointValued.String()},
 	}
-	if n := s.deltaIncremental.Load(); n != 4 {
-		t.Errorf("delta_incremental = %d, want 4", n)
-	}
-	if s.sessionCount() == 0 {
-		t.Error("no warm session pooled after a chain")
+	for _, c := range chains {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(Config{})
+			h := s.Handler()
+			hFull := New(Config{}).Handler() // independent server: no shared cache
+			assessBody := func(m int, counts []int) string {
+				raw, _ := json.Marshal(counts)
+				return fmt.Sprintf(`{"dataset": {"transactions": %d, "counts": %s}%s}`, m, raw, c.extra)
+			}
+			m, counts := c.m, append([]int(nil), c.counts...)
+			var base AssessResponse
+			if rec := post(t, h, assessBody(m, counts), &base); rec.Code != http.StatusOK {
+				t.Fatalf("base assess: HTTP %d: %s", rec.Code, rec.Body.String())
+			}
+			digest := base.Digest
+			for hop := 0; hop < 4; hop++ {
+				var dres DeltaResponse
+				body := deltaBody(digest, 1, []int{hop}, []int{1}, c.extra)
+				if rec := postDelta(t, h, body, &dres); rec.Code != http.StatusOK {
+					t.Fatalf("hop %d: HTTP %d: %s", hop, rec.Code, rec.Body.String())
+				}
+				if !dres.Incremental {
+					t.Errorf("hop %d: want incremental", hop)
+				}
+				if dres.Recipe == nil {
+					t.Fatalf("hop %d: no recipe outcome", hop)
+				}
+				if dres.Method != c.method {
+					t.Errorf("hop %d: method %q, want %q", hop, dres.Method, c.method)
+				}
+
+				m, counts[hop] = m+1, counts[hop]+1
+				var full AssessResponse
+				if rec := post(t, hFull, assessBody(m, counts), &full); rec.Code != http.StatusOK {
+					t.Fatalf("hop %d: full assess: HTTP %d: %s", hop, rec.Code, rec.Body.String())
+				}
+				if full.Cached {
+					t.Fatalf("hop %d: full assess served from cache", hop)
+				}
+				if full.Key != dres.Key || full.Digest != dres.Digest {
+					t.Errorf("hop %d: delta key/digest %s/%s, full %s/%s", hop, dres.Key, dres.Digest, full.Key, full.Digest)
+				}
+				got, want := *dres.Outcome, *full.Outcome
+				gotR, wantR := *got.Recipe, *want.Recipe
+				gotR.WallMS, gotR.CPUMS, wantR.WallMS, wantR.CPUMS = 0, 0, 0, 0
+				got.Recipe, want.Recipe = &gotR, &wantR
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("hop %d: delta outcome diverged from full assess:\n got %+v %+v\nwant %+v %+v",
+						hop, got, gotR, want, wantR)
+				}
+				digest = dres.Digest
+			}
+			if n := s.deltaIncremental.Load(); n != 4 {
+				t.Errorf("delta_incremental = %d, want 4", n)
+			}
+		})
 	}
 }
 
@@ -447,6 +498,15 @@ func TestSubscribeRejectsUnknownAndBadParams(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/assess/subscribe?digest="+base.Digest+"&tau=nope", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad tau param: HTTP %d, want 400", rec.Code)
+	}
+	// A NaN tau that slipped past validation would open a stream, so bound
+	// the request: the 400 must come back at once.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/assess/subscribe?digest="+base.Digest+"&tau=NaN", nil).WithContext(ctx))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("NaN tau param: HTTP %d, want 400", rec.Code)
 	}
 }
 

@@ -61,6 +61,14 @@ import (
 	"repro/internal/riskcache"
 )
 
+const (
+	// maxBodyBytes bounds a request body.
+	maxBodyBytes = 32 << 20
+	// tableEntries bounds the base-table registry that /v1/assess/delta and
+	// /v1/assess/subscribe resolve digests against.
+	tableEntries = 64
+)
+
 // Config tunes a Server. The zero value serves with library defaults:
 // unlimited budget, GOMAXPROCS workers and inflight slots, 256 cache
 // entries, no dataset directory (inline datasets only).
@@ -85,16 +93,6 @@ type Config struct {
 	// CacheEntries bounds the assessment LRU. Zero means 256; negative
 	// means unbounded.
 	CacheEntries int
-	// MaxBodyBytes bounds a request body. Zero means 32 MiB.
-	MaxBodyBytes int64
-	// TableEntries bounds the base-table registry that /v1/assess/delta and
-	// /v1/assess/subscribe resolve digests against. Zero means 64; negative
-	// means unbounded.
-	TableEntries int
-	// SessionEntries bounds the pool of warm recipe.DeltaSessions kept
-	// between delta requests. Zero means 16; negative disables pooling (every
-	// delta builds a fresh session — still correct, just slower).
-	SessionEntries int
 	// KeepAlive is the SSE keep-alive comment period on subscribe streams.
 	// Zero means 15s.
 	KeepAlive time.Duration
@@ -233,8 +231,8 @@ type Server struct {
 	sem   chan struct{}
 	base  context.Context
 	start time.Time
-	// realPipeline: no AssessFn was injected, so recipe-mode deltas may run
-	// through the warm-session incremental path (which bypasses AssessFn).
+	// realPipeline: no AssessFn was injected, so recipe-mode deltas run
+	// through a recipe.DeltaSession (which bypasses AssessFn).
 	realPipeline bool
 
 	// tables is the digest-addressed registry of frequency tables seen by
@@ -242,12 +240,6 @@ type Server struct {
 	// against it and subscribe streams resolve their watch digest. Registered
 	// tables are never mutated (ApplyDiff always runs on a clone).
 	tables *riskcache.Cache[*dataset.FrequencyTable]
-
-	// Warm delta-session pool, keyed by (table digest, recipe options).
-	// Checkout is exclusive: takeSession removes the entry, putSession
-	// re-inserts it under the session's post-diff digest.
-	sessMu   sync.Mutex
-	sessions map[string]*recipe.DeltaSession
 
 	// Subscribe hub: live SSE streams, each watching a growing set of table
 	// digests. Guarded by subMu.
@@ -262,8 +254,8 @@ type Server struct {
 
 	deltaRequests    atomic.Int64 // delta requests accepted past parsing
 	deltaBaseMiss    atomic.Int64 // 404s: base digest not in the registry
-	deltaIncremental atomic.Int64 // deltas served through a session patch
-	deltaFull        atomic.Int64 // deltas that fell back to a full assessment
+	deltaIncremental atomic.Int64 // deltas computed by a recipe.DeltaSession
+	deltaFull        atomic.Int64 // deltas computed by an injected AssessFn
 	subActive        atomic.Int64 // subscribe streams currently open
 	subEvents        atomic.Int64 // verdict events delivered to streams
 	subDropped       atomic.Int64 // verdict events dropped on full stream buffers
@@ -312,31 +304,18 @@ func New(cfg Config) *Server {
 	case cfg.CacheEntries < 0:
 		cfg.CacheEntries = 0 // riskcache: unbounded
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
-	}
-	switch {
-	case cfg.TableEntries == 0:
-		cfg.TableEntries = 64
-	case cfg.TableEntries < 0:
-		cfg.TableEntries = 0 // riskcache: unbounded
-	}
-	if cfg.SessionEntries == 0 {
-		cfg.SessionEntries = 16
-	}
 	if cfg.KeepAlive <= 0 {
 		cfg.KeepAlive = 15 * time.Second
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    riskcache.New[*Outcome](cfg.CacheEntries),
-		sem:      make(chan struct{}, cfg.MaxInflight),
-		base:     parallel.WithWorkers(context.Background(), cfg.Workers),
-		start:    time.Now(),
-		tables:   riskcache.New[*dataset.FrequencyTable](cfg.TableEntries),
-		sessions: make(map[string]*recipe.DeltaSession),
-		subs:     make(map[*subscriber]struct{}),
-		drainCh:  make(chan struct{}),
+		cfg:     cfg,
+		cache:   riskcache.New[*Outcome](cfg.CacheEntries),
+		sem:     make(chan struct{}, cfg.MaxInflight),
+		base:    parallel.WithWorkers(context.Background(), cfg.Workers),
+		start:   time.Now(),
+		tables:  riskcache.New[*dataset.FrequencyTable](tableEntries),
+		subs:    make(map[*subscriber]struct{}),
+		drainCh: make(chan struct{}),
 	}
 	s.realPipeline = s.cfg.AssessFn == nil
 	if s.cfg.AssessFn == nil {
@@ -398,7 +377,6 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 			"base_miss":   s.deltaBaseMiss.Load(),
 			"incremental": s.deltaIncremental.Load(),
 			"full":        s.deltaFull.Load(),
-			"sessions":    s.sessionCount(),
 		},
 		"subscribe": map[string]any{
 			"active":  s.subActive.Load(),
@@ -426,7 +404,7 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	startReq := time.Now()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req AssessRequest
@@ -554,7 +532,7 @@ func (s *Server) parseJob(req *AssessRequest) (*Job, int, error) {
 			return nil, http.StatusBadRequest, err
 		}
 		job.Belief = bf
-	} else if job.Tau <= 0 || job.Tau >= 1 {
+	} else if !(job.Tau > 0 && job.Tau < 1) {
 		return nil, http.StatusBadRequest, fmt.Errorf("server: tau %v outside (0,1)", job.Tau)
 	}
 	job.Key = riskcache.Key(ft.Digest(), beliefDigest(job.Belief), canonicalOptions(job))
@@ -673,8 +651,8 @@ func defaultAssess(ctx context.Context, job *Job) (*Outcome, error) {
 
 // recipeOutcome maps a recipe.Result to the wire outcome. Shared by the full
 // path (defaultAssess) and the delta-session path, so the two produce
-// identical outcomes for identical results — which they do: the session's
-// equivalence property guarantees byte-identical Results.
+// identical outcomes for identical results — which they do: a session runs
+// the same recipe.AssessRiskCtx on the same counts with the same seed.
 func recipeOutcome(res *recipe.Result) *Outcome {
 	return &Outcome{
 		Mode:           "recipe",
