@@ -3,13 +3,15 @@
 #
 #   ./ci.sh          vet + gofmt + riskvet + build + race-enabled tests
 #   ./ci.sh -short   same, with -short tests plus brief fuzz runs of the
-#                    two parser fuzzers (against their committed corpora)
-#                    and the counts-diff fuzzer
+#                    two parser fuzzers (against their committed corpora),
+#                    the counts-diff fuzzer and the two differential
+#                    fuzzers of riskd's request decoding
 #   ./ci.sh -bench   additionally run the parallel-engine benchmarks at
 #                    GOMAXPROCS=1 and GOMAXPROCS=nproc plus the kernel
 #                    microbenchmarks (bitset O-estimate scan vs the boolean
 #                    loop it replaced; one PUMSB alpha binary search and one
-#                    RETAIL delta-session diff at riskd's defaults) and emit
+#                    RETAIL delta-session diff at riskd's defaults; riskd's
+#                    decode of one RETAIL assess body) and emit
 #                    BENCH_parallel.json (one run object per gomaxprocs with
 #                    ns/op and speedup vs serial per worker count, a
 #                    microbenchmarks section, and — on single-core machines —
@@ -119,6 +121,8 @@ if [ -n "$short" ]; then
 	go test -run '^$' -fuzz '^FuzzReadFIMI$' -fuzztime 5s ./internal/dataset/
 	go test -run '^$' -fuzz '^FuzzBeliefParse$' -fuzztime 5s ./internal/belief/
 	go test -run '^$' -fuzz '^FuzzCountsDiff$' -fuzztime 5s ./internal/dataset/
+	go test -run '^$' -fuzz '^FuzzAssessRequest$' -fuzztime 5s ./internal/server/
+	go test -run '^$' -fuzz '^FuzzDeltaRequest$' -fuzztime 5s ./internal/server/
 fi
 
 if [ -n "$lint" ]; then
@@ -164,12 +168,13 @@ if [ -n "$bench" ]; then
 	# historical boolean loop it replaced, recorded with the bitset kernel's
 	# speedup so the perf trajectory pins the win (target: >= 2x); one
 	# alpha binary search on the PUMSB profile (the search a pumsb_cold
-	# request runs); and one delta-session diff on the RETAIL profile (the
-	# update a retail_delta request runs). The last two are recorded with
-	# their allocations.
+	# request runs); one delta-session diff on the RETAIL profile (the
+	# update a retail_delta request runs); and riskd's decode of one RETAIL
+	# assess body (the decode every retail_hot cache hit pays). The last
+	# three are recorded with their allocations.
 	echo "-- kernel microbenchmarks --"
-	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin|BenchmarkApplyDiffRETAIL' -benchtime 2s \
-		./internal/core/ ./internal/recipe/ |
+	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin|BenchmarkApplyDiffRETAIL|BenchmarkDecodeAssessRETAIL' -benchtime 2s \
+		./internal/core/ ./internal/recipe/ ./internal/server/ |
 		tee BENCH_micro.txt |
 		awk '
 		/^BenchmarkOEstimateScan\// {
@@ -186,8 +191,12 @@ if [ -n "$bench" ]; then
 			ns["delta"] = $3 + 0
 			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs["delta"] = $i + 0
 		}
+		/^BenchmarkDecodeAssessRETAIL(-[0-9]+)?[ \t]/ {
+			ns["decode"] = $3 + 0
+			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs["decode"] = $i + 0
+		}
 		END {
-			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns) || !("delta" in ns)) {
+			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns) || !("delta" in ns) || !("decode" in ns)) {
 				print "ci.sh: no microbenchmark output to parse" > "/dev/stderr"
 				exit 1
 			}
@@ -198,7 +207,8 @@ if [ -n "$bench" ]; then
 			printf "      \"impl=bitset\": {\"ns_per_op\": %.0f, \"speedup_vs_bools\": %.3f}\n", ns["impl=bitset"], sp
 			printf "    },\n"
 			printf "    \"MaxAlphaWithin\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["search"], allocs["search"]
-			printf "    \"ApplyDiffRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d}\n", ns["delta"], allocs["delta"]
+			printf "    \"ApplyDiffRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["delta"], allocs["delta"]
+			printf "    \"DecodeAssessRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d}\n", ns["decode"], allocs["decode"]
 			printf "  },\n"
 		}' >>BENCH_parallel.tmp
 	printf '  "runs": [' >>BENCH_parallel.tmp

@@ -10,8 +10,8 @@ import (
 // identical data, where a day of new transactions moves a handful of support
 // counts. Applying a diff to the pre-release table yields the post-release
 // table exactly, digest included, so a client can send a diff instead of
-// the whole table and recipe.DeltaSession runs the full recipe on the
-// applied table: bit-for-bit the verdict a full recompute gives.
+// the whole table and riskd runs the full recipe on the applied table:
+// bit-for-bit the verdict a full recompute gives.
 type CountsDiff struct {
 	// DTransactions is the change to NTransactions (post = pre + DTransactions).
 	DTransactions int `json:"dtransactions,omitempty"`

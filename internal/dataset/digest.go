@@ -20,16 +20,20 @@ func (ft *FrequencyTable) Digest() string {
 	if d := ft.digest.Load(); d != nil {
 		return *d
 	}
+	// The stream goes through the hash in 4 KiB blocks: one 8-byte Write
+	// per count made a RETAIL-sized table's digest take about twice as long.
 	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(ft.NTransactions))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(ft.NItems))
-	h.Write(buf[:])
+	var buf [4096]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(ft.NTransactions))
+	b = binary.LittleEndian.AppendUint64(b, uint64(ft.NItems))
 	for _, c := range ft.Counts {
-		binary.LittleEndian.PutUint64(buf[:], uint64(c))
-		h.Write(buf[:])
+		if len(b) == len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(c))
 	}
+	h.Write(b)
 	d := hex.EncodeToString(h.Sum(nil))
 	ft.digest.Store(&d)
 	return d

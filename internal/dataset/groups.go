@@ -21,30 +21,43 @@ type Grouping struct {
 	itemGroup     []int   // item id -> index into Groups
 }
 
-// GroupItems groups the items of the table by exact support count.
+// GroupItems groups the items of the table by exact support count. A
+// counting pass sizes every group first, so one backing slice holds all
+// groups' items, each group a full window of it (cap == len), filled in
+// ascending item order.
 func GroupItems(ft *FrequencyTable) *Grouping {
-	byCount := make(map[int][]int)
-	for x, c := range ft.Counts {
-		byCount[c] = append(byCount[c], x)
+	// group maps a count to its group's size, and from the layout loop on
+	// to its group's index.
+	group := make(map[int]int)
+	for _, c := range ft.Counts {
+		group[c]++
 	}
-	counts := make([]int, 0, len(byCount))
-	for c := range byCount {
+	counts := make([]int, 0, len(group))
+	for c := range group {
 		counts = append(counts, c)
 	}
 	sort.Ints(counts)
 	g := &Grouping{
 		NTransactions: ft.NTransactions,
-		Groups:        make([]Group, 0, len(counts)),
+		Groups:        make([]Group, len(counts)),
 		itemGroup:     make([]int, ft.NItems),
 	}
+	items := make([]int, ft.NItems)
+	next := make([]int, len(counts)) // each group's next free slot in items
 	m := float64(ft.NTransactions)
+	off := 0
 	for gi, c := range counts {
-		items := byCount[c]
-		sort.Ints(items)
-		g.Groups = append(g.Groups, Group{Count: c, Items: items, Freq: float64(c) / m})
-		for _, x := range items {
-			g.itemGroup[x] = gi
-		}
+		n := group[c]
+		g.Groups[gi] = Group{Count: c, Items: items[off : off+n : off+n], Freq: float64(c) / m}
+		next[gi] = off
+		group[c] = gi
+		off += n
+	}
+	for x, c := range ft.Counts {
+		gi := group[c]
+		items[next[gi]] = x
+		next[gi]++
+		g.itemGroup[x] = gi
 	}
 	return g
 }

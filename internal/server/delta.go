@@ -4,15 +4,17 @@
 // pushes every fresh verdict for the digests it watches.
 //
 // A delta ships the diff, not the table; its computation is the full one.
-// Each delta builds a recipe.DeltaSession from the registered base table,
-// which applies the diff to its own copy and runs recipe.AssessRiskCtx on
-// it. The delta path composes three invariants proved lower in the stack:
+// Each delta applies the diff to a copy of the registered base table and
+// runs the server's AssessFn on that copy: for a recipe-mode job that is
+// recipe.AssessRiskCtx with rand.NewSource(seed), the call a
+// recipe.DeltaSession makes. The delta path composes three invariants
+// proved lower in the stack:
 //
-//   - recipe.DeltaSession's equivalence property: its verdict is
-//     byte-identical to AssessRiskCtx on a freshly built table with the same
-//     counts, options, and seed, because that is the call it makes.
 //   - dataset.ApplyDiff's digest refresh: the applied table's digest equals
 //     the digest of a table built from scratch with the post-diff counts.
+//   - recipe.DeltaSession's equivalence property: ApplyDiff followed by
+//     AssessRiskCtx is byte-identical to AssessRiskCtx on a freshly built
+//     table with the same counts, options, and seed.
 //   - riskcache content addressing: the delta request's cache key is
 //     riskcache.Key(appliedDigest, "", options) — the SAME key a plain
 //     /v1/assess with the evolved counts would use. A verdict computed
@@ -37,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/recipe"
 	"repro/internal/riskcache"
 )
 
@@ -66,9 +67,9 @@ type DeltaRequest struct {
 
 // DiffSpec mirrors dataset.CountsDiff on the wire.
 type DiffSpec struct {
-	DTransactions int   `json:"dtransactions,omitempty"`
-	Items         []int `json:"items"`
-	Deltas        []int `json:"deltas"`
+	DTransactions int  `json:"dtransactions,omitempty"`
+	Items         Ints `json:"items"`
+	Deltas        Ints `json:"deltas"`
 }
 
 // DeltaResponse is the POST /v1/assess/delta reply and the SSE "verdict"
@@ -77,10 +78,10 @@ type DiffSpec struct {
 type DeltaResponse struct {
 	AssessResponse
 	BaseDigest string `json:"base_digest,omitempty"`
-	// Incremental: this request computed the verdict with a
-	// recipe.DeltaSession — not a cache hit, not a coalesced wait, and not
-	// an injected AssessFn. Provenance only: the bytes are identical either
-	// way.
+	// Incremental: this request computed the evolved table's verdict with
+	// the real pipeline, on the table its diff produced — not a cache hit,
+	// not a coalesced wait, and not an injected AssessFn. Provenance only:
+	// the bytes are identical either way.
 	Incremental bool `json:"incremental,omitempty"`
 }
 
@@ -122,11 +123,8 @@ func deltaJob(ft *dataset.FrequencyTable, req *DeltaRequest) (*Job, error) {
 
 func (s *Server) handleAssessDelta(w http.ResponseWriter, r *http.Request) {
 	startReq := time.Now()
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req DeltaRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.badInput.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
@@ -169,19 +167,16 @@ func (s *Server) handleAssessDelta(w http.ResponseWriter, r *http.Request) {
 	s.tables.Put(digest, applied)
 
 	timeout := s.requestTimeout(req.TimeoutMS)
-	// incremental is written only by the compute closure, which GetOrCompute
-	// runs synchronously on this goroutine (leaders compute; followers and
-	// hits never touch it).
-	incremental := false
 	outcome, src, err := s.cache.GetOrCompute(r.Context(), job.Key, func() (*Outcome, bool, error) {
 		return s.runCompute(timeout, func(ctx context.Context) (*Outcome, error) {
-			return s.deltaAssess(ctx, base, job, d, &incremental)
+			return s.cfg.AssessFn(ctx, job)
 		})
 	})
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
 	}
+	incremental := src == riskcache.Computed && s.realPipeline
 	if src == riskcache.Computed {
 		if incremental {
 			s.deltaIncremental.Add(1)
@@ -209,36 +204,6 @@ func (s *Server) handleAssessDelta(w http.ResponseWriter, r *http.Request) {
 		s.broadcast(req.BaseDigest, &resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// deltaAssess computes the evolved verdict with a recipe.DeltaSession built
-// from the registered base table. Sets *incremental when the session ran.
-func (s *Server) deltaAssess(ctx context.Context, base *dataset.FrequencyTable, job *Job, d *dataset.CountsDiff, incremental *bool) (*Outcome, error) {
-	if !s.realPipeline {
-		// Injected stand-in (tests): job.Table already holds the applied
-		// counts, so the stand-in sees exactly what the full path would.
-		return s.cfg.AssessFn(ctx, job)
-	}
-	if inj := s.cfg.Injector; inj != nil {
-		if err := inj.Apply(ctx, "compute"); err != nil {
-			return nil, err
-		}
-	}
-	sess, err := recipe.NewDeltaSessionCtx(ctx, base, job.Seed, recipe.Options{
-		Tolerance:    job.Tau,
-		Runs:         job.Runs,
-		Propagate:    job.Propagate,
-		AlphaComfort: job.Comfort,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.ApplyDiffCtx(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	*incremental = true
-	return recipeOutcome(res), nil
 }
 
 // subscriber is one live SSE stream. digests — the set of table states whose

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/recipe"
 )
 
@@ -113,11 +114,11 @@ func TestDeltaEquivalentToFullAssess(t *testing.T) {
 }
 
 // TestDeltaChainThroughSessions walks chains of diffs, each using the
-// previous response's digest as its base, and checks that a DeltaSession
-// computes every hop and that each hop's outcome equals an independent
-// server's full /v1/assess of the same counts, timings aside. One chain
-// reaches the α search with propagation on; the other settles at the
-// point-valued stage.
+// previous response's digest as its base, and checks that the real pipeline
+// computes every hop (incremental) and that each hop's outcome equals an
+// independent server's full /v1/assess of the same counts, timings aside.
+// One chain reaches the α search with propagation on; the other settles at
+// the point-valued stage.
 func TestDeltaChainThroughSessions(t *testing.T) {
 	alternating := make([]int, 20)
 	for i := range alternating {
@@ -190,6 +191,29 @@ func TestDeltaChainThroughSessions(t *testing.T) {
 				t.Errorf("delta_incremental = %d, want 4", n)
 			}
 		})
+	}
+}
+
+// TestDeltaComputesOnce checks that a computed delta runs the compute step
+// once: the injector's compute op sees one call for the base assess and one
+// for the delta.
+func TestDeltaComputesOnce(t *testing.T) {
+	inj, err := faultinject.NewFromSchedule(1, "compute:nth=100:err")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(Config{Injector: inj}).Handler()
+	var base AssessResponse
+	post(t, h, countsBody(10, ""), &base)
+	var dres DeltaResponse
+	if rec := postDelta(t, h, deltaBody(base.Digest, 1, []int{2}, []int{1}, ""), &dres); rec.Code != http.StatusOK {
+		t.Fatalf("delta: HTTP %d: %s", rec.Code, rec.Body.String())
+	}
+	if !dres.Incremental {
+		t.Error("real-pipeline delta: want incremental=true")
+	}
+	if calls := inj.Stats()["compute"].Calls; calls != 2 {
+		t.Errorf("compute calls = %d, want 2 (base assess + one delta)", calls)
 	}
 }
 

@@ -201,7 +201,7 @@ type DatasetRef struct {
 	Path         string `json:"path,omitempty"`
 	FIMI         string `json:"fimi,omitempty"`
 	Transactions int    `json:"transactions,omitempty"`
-	Counts       []int  `json:"counts,omitempty"`
+	Counts       Ints   `json:"counts,omitempty"`
 }
 
 // AssessResponse is the POST /v1/assess reply.
@@ -231,8 +231,8 @@ type Server struct {
 	sem   chan struct{}
 	base  context.Context
 	start time.Time
-	// realPipeline: no AssessFn was injected, so recipe-mode deltas run
-	// through a recipe.DeltaSession (which bypasses AssessFn).
+	// realPipeline: no AssessFn was injected, so a computed delta is
+	// reported as incremental.
 	realPipeline bool
 
 	// tables is the digest-addressed registry of frequency tables seen by
@@ -254,7 +254,7 @@ type Server struct {
 
 	deltaRequests    atomic.Int64 // delta requests accepted past parsing
 	deltaBaseMiss    atomic.Int64 // 404s: base digest not in the registry
-	deltaIncremental atomic.Int64 // deltas computed by a recipe.DeltaSession
+	deltaIncremental atomic.Int64 // deltas computed by the real pipeline
 	deltaFull        atomic.Int64 // deltas computed by an injected AssessFn
 	subActive        atomic.Int64 // subscribe streams currently open
 	subEvents        atomic.Int64 // verdict events delivered to streams
@@ -404,11 +404,8 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	startReq := time.Now()
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req AssessRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.badInput.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
@@ -646,14 +643,6 @@ func defaultAssess(ctx context.Context, job *Job) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return recipeOutcome(res), nil
-}
-
-// recipeOutcome maps a recipe.Result to the wire outcome. Shared by the full
-// path (defaultAssess) and the delta-session path, so the two produce
-// identical outcomes for identical results — which they do: a session runs
-// the same recipe.AssessRiskCtx on the same counts with the same seed.
-func recipeOutcome(res *recipe.Result) *Outcome {
 	return &Outcome{
 		Mode:           "recipe",
 		Method:         res.Stage.String(),
@@ -671,7 +660,7 @@ func recipeOutcome(res *recipe.Result) *Outcome {
 			WallMS:    float64(res.Wall) / float64(time.Millisecond),
 			CPUMS:     float64(res.CPU) / float64(time.Millisecond),
 		},
-	}
+	}, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
