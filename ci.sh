@@ -11,7 +11,8 @@
 #                    microbenchmarks (bitset O-estimate scan vs the boolean
 #                    loop it replaced; one PUMSB alpha binary search and one
 #                    RETAIL delta-session diff at riskd's defaults; riskd's
-#                    decode of one RETAIL assess body) and emit
+#                    decode of one RETAIL assess body; the CONNECT sampler
+#                    estimate a connect_sampled request runs) and emit
 #                    BENCH_parallel.json (one run object per gomaxprocs with
 #                    ns/op and speedup vs serial per worker count, a
 #                    microbenchmarks section, and — on single-core machines —
@@ -169,12 +170,14 @@ if [ -n "$bench" ]; then
 	# speedup so the perf trajectory pins the win (target: >= 2x); one
 	# alpha binary search on the PUMSB profile (the search a pumsb_cold
 	# request runs); one delta-session diff on the RETAIL profile (the
-	# update a retail_delta request runs); and riskd's decode of one RETAIL
-	# assess body (the decode every retail_hot cache hit pays). The last
-	# three are recorded with their allocations.
+	# update a retail_delta request runs); riskd's decode of one RETAIL
+	# assess body (the decode every retail_hot cache hit pays); and one
+	# sampler estimate on the CONNECT profile (the estimate a
+	# connect_sampled request runs), with its cost per proposal made. The
+	# last four are recorded with their allocations.
 	echo "-- kernel microbenchmarks --"
-	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin|BenchmarkApplyDiffRETAIL|BenchmarkDecodeAssessRETAIL' -benchtime 2s \
-		./internal/core/ ./internal/recipe/ ./internal/server/ |
+	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin|BenchmarkApplyDiffRETAIL|BenchmarkDecodeAssessRETAIL|BenchmarkEstimateCONNECT' -benchtime 2s \
+		./internal/core/ ./internal/recipe/ ./internal/server/ ./internal/matching/ |
 		tee BENCH_micro.txt |
 		awk '
 		/^BenchmarkOEstimateScan\// {
@@ -195,8 +198,15 @@ if [ -n "$bench" ]; then
 			ns["decode"] = $3 + 0
 			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs["decode"] = $i + 0
 		}
+		/^BenchmarkEstimateCONNECT(-[0-9]+)?[ \t]/ {
+			ns["estimate"] = $3 + 0
+			for (i = 4; i < NF; i++) {
+				if ($(i + 1) == "allocs/op") allocs["estimate"] = $i + 0
+				if ($(i + 1) == "ns/proposal") perprop = $i + 0
+			}
+		}
 		END {
-			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns) || !("delta" in ns) || !("decode" in ns)) {
+			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns) || !("delta" in ns) || !("decode" in ns) || !("estimate" in ns)) {
 				print "ci.sh: no microbenchmark output to parse" > "/dev/stderr"
 				exit 1
 			}
@@ -208,7 +218,8 @@ if [ -n "$bench" ]; then
 			printf "    },\n"
 			printf "    \"MaxAlphaWithin\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["search"], allocs["search"]
 			printf "    \"ApplyDiffRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["delta"], allocs["delta"]
-			printf "    \"DecodeAssessRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d}\n", ns["decode"], allocs["decode"]
+			printf "    \"DecodeAssessRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["decode"], allocs["decode"]
+			printf "    \"EstimateCONNECT\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d, \"ns_per_proposal\": %.2f}\n", ns["estimate"], allocs["estimate"], perprop
 			printf "  },\n"
 		}' >>BENCH_parallel.tmp
 	printf '  "runs": [' >>BENCH_parallel.tmp

@@ -151,6 +151,11 @@ func (db *Database) Table() *FrequencyTable {
 
 // NewTable validates and wraps raw support counts. It returns an error if
 // nTransactions <= 0 or any count is outside [0, nTransactions].
+//
+// The table takes ownership of counts: it keeps the slice as its Counts
+// without copying, and ApplyDiff edits it in place. A caller that goes on
+// using the slice, or passes another table's Counts, must pass a copy
+// (slices.Clone).
 func NewTable(nTransactions int, counts []int) (*FrequencyTable, error) {
 	if nTransactions <= 0 {
 		return nil, fmt.Errorf("dataset: %d transactions, want > 0", nTransactions)
@@ -163,8 +168,7 @@ func NewTable(nTransactions int, counts []int) (*FrequencyTable, error) {
 			return nil, fmt.Errorf("dataset: item %d: count %d outside [0,%d]", x, c, nTransactions)
 		}
 	}
-	cp := append([]int(nil), counts...)
-	return &FrequencyTable{NItems: len(cp), NTransactions: nTransactions, Counts: cp}, nil
+	return &FrequencyTable{NItems: len(counts), NTransactions: nTransactions, Counts: counts}, nil
 }
 
 // Frequency returns item x's frequency Counts[x]/NTransactions.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -36,7 +37,7 @@ func TestDiffValidateRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ft := mustTable(t, 10, base)
+			ft := mustTable(t, 10, slices.Clone(base))
 			err := ft.ApplyDiff(&tc.d)
 			if !errors.Is(err, ErrDiffMismatch) {
 				t.Fatalf("ApplyDiff: got %v, want ErrDiffMismatch", err)

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -85,7 +86,7 @@ func FuzzCountsDiff(f *testing.F) {
 		for x, b := range raw {
 			counts[x] = int(b) % (m + 1)
 		}
-		ft, err := NewTable(m, counts)
+		ft, err := NewTable(m, slices.Clone(counts))
 		if err != nil {
 			t.Fatalf("NewTable: %v", err)
 		}
@@ -104,7 +105,7 @@ func FuzzCountsDiff(f *testing.F) {
 			t.Fatalf("Validate = %v but ApplyDiff = %v", verr, aerr)
 		}
 		if aerr != nil {
-			rebuilt, err := NewTable(ft.NTransactions, ft.Counts)
+			rebuilt, err := NewTable(ft.NTransactions, slices.Clone(ft.Counts))
 			if err != nil {
 				t.Fatalf("rejected diff left an invalid table: %v", err)
 			}

@@ -1,10 +1,10 @@
 package matching
 
 // Allocation-regression tests for the flat kernel (DESIGN.md §11): sampling
-// must be allocation-free after setup, and the incremental crack counter must
-// never drift from a fresh O(n) recount. A regression in either silently
-// costs the ≥3× kernel win (GC pressure) or corrupts every simulated
-// estimate (counter drift), so both are pinned here.
+// must be allocation-free after setup, and the crack count taken per sample
+// must equal a fresh O(n) recount of the matching. A regression in either
+// silently costs the ≥3× kernel win (GC pressure) or corrupts every
+// simulated estimate (a wrong count), so both are pinned here.
 
 import (
 	"context"
@@ -123,8 +123,10 @@ func TestSimulateRunBatchedSteadyStateAllocs(t *testing.T) {
 
 // TestIncrementalCracksMatchesRecount sweeps 10k times across both move
 // kinds, graphs with and without identity seeds, and periodic reseeds,
-// asserting after every sweep that the O(1) incremental counter equals a
-// fresh O(n) recount of the current matching.
+// asserting after every sweep that Cracks — the forced cracks bind counted
+// once plus an O(|open|) scan of the open items — equals a fresh O(n)
+// recount of the current matching. (The name predates the per-sample
+// count; the crack count is no longer maintained incrementally.)
 func TestIncrementalCracksMatchesRecount(t *testing.T) {
 	recount := func(m []int) int {
 		c := 0
@@ -164,7 +166,7 @@ func TestIncrementalCracksMatchesRecount(t *testing.T) {
 			}
 			sweeps++
 			if got, want := s.Cracks(), recount(s.Matching()); got != want {
-				t.Fatalf("trial %d sweep %d: incremental cracks %d != recount %d", trial, k, got, want)
+				t.Fatalf("trial %d sweep %d: Cracks() %d != recount %d", trial, k, got, want)
 			}
 		}
 	}

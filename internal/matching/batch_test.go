@@ -127,7 +127,7 @@ func TestBatchSweepMatchesExact(t *testing.T) {
 }
 
 // TestBatchSweepInvariants checks that sweeps spanning several batches
-// preserve the matching invariants and the incremental crack counter.
+// preserve the matching invariants and that Cracks matches a recount.
 func TestBatchSweepInvariants(t *testing.T) {
 	g := batchChainGraph(t)
 	s, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(3)))
@@ -154,7 +154,7 @@ func TestBatchSweepInvariants(t *testing.T) {
 			}
 		}
 		if cracks != s.Cracks() {
-			t.Fatalf("sweep %d: incremental cracks %d, recount %d", sweep, s.Cracks(), cracks)
+			t.Fatalf("sweep %d: Cracks() %d, recount %d", sweep, s.Cracks(), cracks)
 		}
 	}
 }

@@ -5,11 +5,13 @@
 // 11 compare the O-estimates against.
 //
 // The proposal loop is the hottest kernel in the repo and is written as a
-// flat-array kernel (DESIGN.md §11): candidate draws are one bounded-rand
-// draw plus one load into the graph's flat candidate layout, the crack count
-// is maintained incrementally inside swap, randomness comes from an inlined
-// SplitMix64 stream (parallel.Stream), and all per-run state lives in
-// reusable scratch so steady-state sampling allocates nothing.
+// flat-array kernel over 32-bit state (DESIGN.md §11, §16.3): candidate
+// draws are one bounded-rand draw plus one load into a copy of the graph's
+// flat candidate layout, acceptance is applied without data-dependent
+// branches, cracks are counted once per sample rather than per proposal,
+// randomness comes from an inlined SplitMix64 stream (parallel.Stream), and
+// all per-run state lives in reusable scratch so steady-state sampling
+// allocates nothing.
 package matching
 
 import (
@@ -82,7 +84,12 @@ func (c Config) withDefaults() Config {
 // every seed matching and no accepted move can change it: a proposal for a
 // forced item is an identity move or a rejection. Sweeping only the open
 // items is therefore the same chain without those no-op proposals, and the
-// crack counter still counts the forced cracks.
+// forced cracks are a constant of the graph that bind counts once.
+//
+// The live state is 32-bit (bind rejects domains of 2^31 or more items):
+// the matching and its inverse, each anonymized item's group, each item's
+// group range packed into one word, and one record per open item carrying
+// its candidate window.
 //
 // A Sampler is reusable: Reset on the graph it is bound to restarts the
 // chain without allocating, which is what makes the R-run estimate
@@ -94,27 +101,28 @@ type Sampler struct {
 
 	g *bipartite.Graph
 
-	// Slice headers captured from the graph at bind time so the proposal
-	// loops index flat arrays directly instead of chasing through g.
-	flat     []int // group-ordered candidate array (g.CandidateLayout)
-	candBase []int // item x's candidates start at flat[candBase[x]]
-	candSpan []int // ... and number candSpan[x] (= outdegree O_x)
-	itemLo   []int // first consistent group per item
-	itemHi   []int // last consistent group per item (inclusive)
-	itemGrp  []int // true group of each anonymized item
+	open    []openItem // items propagation leaves unforced, ascending: the only ones sweeps propose for
+	cand    []int32    // group-ordered candidate array (g.CandidateLayout)
+	rangeOf []uint64   // item x's consistent groups [lo, hi], packed lo | hi<<32
+	groupOf []int32    // true group of each anonymized item
+	anonOf  []int32    // anonOf[x] = anonymized item currently matched to item x
+	itemOf  []int32    // itemOf[w] = item currently holding anonymized item w
+	perm    []int      // scratch permutation of the open items for Sweep
 
-	anonOf []int              // anonOf[x] = anonymized item currently matched to item x
-	itemOf []int              // itemOf[w] = item currently holding anonymized item w
-	open   []int              // items propagation leaves unforced, ascending: the only ones sweeps propose for
-	perm   []int              // scratch permutation of open for Sweep
-	batch  [sweepBatch]uint64 // word buffer for TargetedSweep: raw draws, then packed proposals
+	seedMatch    []int32 // base matching reseeds start from
+	identitySeed bool    // seedMatch is the identity: shuffle within groups
 
-	seedMatch    []int // base matching reseeds start from
-	identitySeed bool  // seedMatch is the identity: shuffle within groups
+	forcedCracks int // cracks among the forced pairs, which never move
 
-	cracks int // incrementally maintained |{x : anonOf[x] == x}|
+	batch [sweepBatch]uint64 // word buffer for TargetedSweep: raw draws, then packed proposals
 
 	rng parallel.Stream
+}
+
+// openItem is an open item with its candidate window: its consistent
+// anonymized items are cand[base : base+span].
+type openItem struct {
+	item, base, span int32
 }
 
 // NewSampler creates a sampler with a fresh seed matching (see reseed). The
@@ -132,11 +140,12 @@ func NewSampler(ctx context.Context, g *bipartite.Graph, rng *rand.Rand) (*Sampl
 
 // Reset rebinds the sampler to g, restarts its random stream at seed, and
 // installs a fresh seed matching. Binding to a new graph propagates it once
-// (bind); no memory is allocated when the sampler is already bound to g, and
-// the per-worker scratch of EstimateCracksCtx relies on this to run every
-// chain allocation-free after the first. It returns bipartite.ErrInfeasible
-// when the graph admits no consistent matching, and an error for domains of
-// 2^31 or more items, past the 32-bit draws of TargetedSweep.
+// and allocates the sampler's arrays (bind); no memory is allocated when the
+// sampler is already bound to g, and the per-worker scratch of
+// EstimateCracksCtx relies on this to run every chain allocation-free after
+// the first. It returns bipartite.ErrInfeasible when the graph admits no
+// consistent matching, and an error for domains of 2^31 or more items, past
+// the sampler's 32-bit state.
 func (s *Sampler) Reset(ctx context.Context, g *bipartite.Graph, seed int64) error {
 	if s.g != g {
 		if err := s.bind(ctx, g); err != nil {
@@ -148,11 +157,14 @@ func (s *Sampler) Reset(ctx context.Context, g *bipartite.Graph, seed int64) err
 	return nil
 }
 
-// bind captures g's flat layout, establishes the base seed matching — the
-// identity when the graph is compliant, a greedy perfect matching otherwise
-// (both deterministic, so they are computed once and reused by reseed) — and
-// lists the items degree-1 propagation leaves open. Propagation charges its
-// own budget under ctx.
+// bind builds the sampler's 32-bit copy of g, establishes the base seed
+// matching — the identity when the graph is compliant, a greedy perfect
+// matching otherwise (both deterministic, so they are computed once and
+// reused by reseed) — lists the items degree-1 propagation leaves open, and
+// counts the forced cracks. Propagation charges its own budget under ctx.
+//
+// Every item of a graph with a perfect matching has a nonempty group range,
+// which inRange relies on.
 func (s *Sampler) bind(ctx context.Context, g *bipartite.Graph) error {
 	n := g.Items()
 	if uint64(n) >= 1<<31 {
@@ -173,39 +185,48 @@ func (s *Sampler) bind(ctx context.Context, g *bipartite.Graph) error {
 	for _, fp := range p.Forced {
 		forced[fp.Item] = true
 	}
-	open := s.open[:0]
+	flat, candBase, candSpan := g.CandidateLayout()
+	open := make([]openItem, 0, n-len(p.Forced))
 	for x, f := range forced {
 		if !f {
-			open = append(open, x)
+			open = append(open, openItem{item: int32(x), base: int32(candBase[x]), span: int32(candSpan[x])})
 		}
 	}
+	cand := make([]int32, len(flat))
+	for k, w := range flat {
+		cand[k] = int32(w)
+	}
+	rangeOf := make([]uint64, n)
+	groupOf := make([]int32, n)
+	seedMatch := make([]int32, n)
+	for x := range rangeOf {
+		rangeOf[x] = uint64(uint32(g.ItemLo[x])) | uint64(uint32(g.ItemHi[x]))<<32
+		groupOf[x] = int32(g.ItemGroup[x])
+		seedMatch[x] = int32(match[x])
+	}
 	s.g = g
-	s.flat, s.candBase, s.candSpan = g.CandidateLayout()
-	s.itemLo, s.itemHi, s.itemGrp = g.ItemLo, g.ItemHi, g.ItemGroup
-	s.seedMatch = match
-	s.identitySeed = identity
-	s.anonOf = scratchInts(s.anonOf, n)
-	s.itemOf = scratchInts(s.itemOf, n)
-	s.open = open
-	s.perm = scratchInts(s.perm, len(open))
+	s.open, s.cand, s.rangeOf, s.groupOf = open, cand, rangeOf, groupOf
+	s.anonOf = make([]int32, n)
+	s.itemOf = make([]int32, n)
+	s.perm = make([]int, len(open))
+	s.seedMatch, s.identitySeed = seedMatch, identity
+	s.forcedCracks = p.ForcedCracks()
 	return nil
 }
 
-// scratchInts returns a length-n int slice, reusing buf's storage when it is
-// large enough.
-func scratchInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
+// inRange reports whether group gr lies in the packed range r = lo | hi<<32
+// with one unsigned compare: gr−lo wraps past hi−lo when gr < lo. It needs
+// lo ≤ hi, which every item of a bound graph has.
+func inRange(r uint64, gr int32) bool {
+	lo := uint32(r)
+	return uint32(gr)-lo <= uint32(r>>32)-lo
 }
 
 // reseed installs a fresh consistent matching: a within-group shuffle of the
 // identity when the graph is compliant (already far closer to stationarity
 // than the raw identity — its expected crack count is the number of groups,
-// not n), or the cached greedy perfect matching otherwise. It also rebuilds
-// the inverse index and recounts cracks — the one O(n) scan per seed; every
-// proposal afterwards updates the count incrementally.
+// not n), or the cached greedy perfect matching otherwise, and rebuilds the
+// inverse index — the one O(n) scan per seed.
 func (s *Sampler) reseed() {
 	copy(s.anonOf, s.seedMatch)
 	if s.identitySeed {
@@ -220,62 +241,34 @@ func (s *Sampler) reseed() {
 			}
 		}
 	}
-	cracks := 0
 	for x, w := range s.anonOf {
-		s.itemOf[w] = x
-		if w == x {
-			cracks++
-		}
+		s.itemOf[w] = int32(x)
 	}
-	s.cracks = cracks
 }
 
 // Sweep performs one permutation sweep of transposition moves over the open
 // items and reports how many were accepted.
 func (s *Sampler) Sweep() int {
 	perm := s.perm
-	copy(perm, s.open)
+	for k, o := range s.open {
+		perm[k] = int(o.item)
+	}
 	s.rng.Shuffle(perm)
-	anonOf := s.anonOf
-	itemLo, itemHi, itemGrp := s.itemLo, s.itemHi, s.itemGrp
+	anonOf, itemOf, rangeOf, groupOf := s.anonOf, s.itemOf, s.rangeOf, s.groupOf
 	accepted := 0
-	for k, i := range s.open {
-		j := perm[k]
+	for k, o := range s.open {
+		i, j := o.item, int32(perm[k])
 		if i == j {
 			continue
 		}
 		wi, wj := anonOf[i], anonOf[j]
-		// HasEdge(wj, i) && HasEdge(wi, j), inlined on the captured arrays.
-		gj, gi := itemGrp[wj], itemGrp[wi]
-		if itemLo[i] <= gj && gj <= itemHi[i] && itemLo[j] <= gi && gi <= itemHi[j] {
-			s.swap(i, j)
+		if inRange(rangeOf[i], groupOf[wj]) && inRange(rangeOf[j], groupOf[wi]) {
+			anonOf[i], anonOf[j] = wj, wi
+			itemOf[wi], itemOf[wj] = j, i
 			accepted++
 		}
 	}
 	return accepted
-}
-
-// swap exchanges the anonymized items of items i and j (assumed consistent)
-// and keeps the crack count current: only positions i and j change, so the
-// count moves by the ±1 contributions of those two positions.
-func (s *Sampler) swap(i, j int) {
-	wi, wj := s.anonOf[i], s.anonOf[j]
-	d := 0
-	if wi == i {
-		d--
-	}
-	if wj == j {
-		d--
-	}
-	if wj == i {
-		d++
-	}
-	if wi == j {
-		d++
-	}
-	s.cracks += d
-	s.anonOf[i], s.anonOf[j] = wj, wi
-	s.itemOf[wi], s.itemOf[wj] = j, i
 }
 
 // sweepBatch is the number of proposals TargetedSweep resolves per refill of
@@ -313,9 +306,7 @@ func (s *Sampler) TargetedSweep() int {
 //     pointer round-trip through the Sampler per draw — and is written back
 //     once at the end of the draws.
 func (s *Sampler) proposeBatch(buf []uint64, itemThresh uint32) int {
-	anonOf, itemOf, open := s.anonOf, s.itemOf, s.open
-	flat, candBase, candSpan := s.flat, s.candBase, s.candSpan
-	itemLo, itemHi, itemGrp := s.itemLo, s.itemHi, s.itemGrp
+	open, cand := s.open, s.cand
 	un := uint64(len(open))
 	state := s.rng
 	for idx := range buf {
@@ -335,48 +326,49 @@ func (s *Sampler) proposeBatch(buf []uint64, itemThresh uint32) int {
 		for uint32(m) < itemThresh {
 			m = (state.Uint64() >> 32) * un
 		}
-		i := open[m>>32]
+		o := open[m>>32]
 		// An open item keeps at least two candidates: propagation forces
 		// every item left with one, so span is never zero.
-		span := candSpan[i]
+		span := uint32(o.span)
 		// Candidate from the low half: span varies per item, so the fringe
 		// test stays lazy as in Stream.Uintn.
-		us := uint64(uint32(span))
-		m2 := (word & 0xffffffff) * us
-		if lo := uint32(m2); lo < uint32(span) {
-			thresh := -uint32(span) % uint32(span)
+		m2 := (word & 0xffffffff) * uint64(span)
+		if lo := uint32(m2); lo < span {
+			thresh := -span % span
 			for lo < thresh {
-				m2 = (state.Uint64() & 0xffffffff) * us
+				m2 = (state.Uint64() & 0xffffffff) * uint64(span)
 				lo = uint32(m2)
 			}
 		}
-		buf[idx] = uint64(i)<<32 | uint64(uint32(flat[candBase[i]+int(m2>>32)]))
+		buf[idx] = uint64(o.item)<<32 | uint64(uint32(cand[int(o.base)+int(m2>>32)]))
 	}
 	s.rng = state
 	// Phase 2: apply the proposals in slot order against the live matching.
-	// Acceptance is branchless: a rejected proposal becomes the no-op
-	// transposition (i, i) by conditional move, and the swap body runs
-	// unconditionally with a flag-set crack delta — near stationarity the
-	// accept/reject outcomes are data-dependent coin flips, exactly the
-	// branches a predictor cannot learn. A proposal whose candidate is the
-	// item's current partner is the identity move and counts as (trivially)
-	// accepted.
-	cracks, accepted := s.cracks, 0
+	// Near stationarity accept/reject is a data-dependent coin flip, exactly
+	// the branch a predictor cannot learn, so the loop has none: the range
+	// test is one unsigned compare, and a rejection turns the swap into the
+	// identity swap (i, i) by mask arithmetic — j becomes i and the
+	// candidate c becomes i's own wi. On acceptance c is j's current item,
+	// so the swap needs no reload of anonOf[j]. A proposal whose candidate
+	// is the item's current partner is the identity move and counts as
+	// (trivially) accepted. Reslicing the four arrays to one length lets a
+	// single register bound every index, which keeps more of the loop's
+	// state out of stack spills.
+	n := len(s.anonOf)
+	anonOf, itemOf, rangeOf, groupOf := s.anonOf, s.itemOf[:n], s.rangeOf[:n], s.groupOf[:n]
+	accepted := 0
 	for _, pair := range buf {
-		i := int(pair >> 32)
-		j := itemOf[uint32(pair)]
-		gi := itemGrp[anonOf[i]]
-		ok := itemLo[j] <= gi && gi <= itemHi[j]
-		if !ok {
-			j = i
-		}
-		wi, wj := anonOf[i], anonOf[j]
-		cracks += b2i(wj == i) + b2i(wi == j) - b2i(wi == i) - b2i(wj == j)
+		i, c := int32(pair>>32), int32(uint32(pair))
+		j := itemOf[c]
+		wi := anonOf[i]
+		ok := b2i(inRange(rangeOf[j], groupOf[wi]))
+		keep := -int32(ok) // all ones on acceptance, zero on rejection
+		j = i ^ (i^j)&keep
+		wj := wi ^ (wi^c)&keep
 		anonOf[i], anonOf[j] = wj, wi
 		itemOf[wi], itemOf[wj] = j, i
-		accepted += b2i(ok)
+		accepted += ok
 	}
-	s.cracks = cracks
 	return accepted
 }
 
@@ -391,13 +383,25 @@ func b2i(b bool) int {
 }
 
 // Cracks returns the number of cracked items in the current matching — items
-// whose matched anonymized item is their own twin — in O(1): the count is
-// maintained incrementally by swap and recomputed only on reseed.
-func (s *Sampler) Cracks() int { return s.cracks }
+// whose matched anonymized item is their own twin. It scans the open items,
+// O(|open|), once per sample; the forced cracks never change and were
+// counted by bind.
+func (s *Sampler) Cracks() int {
+	anonOf := s.anonOf
+	cracks := s.forcedCracks
+	for _, o := range s.open {
+		cracks += b2i(anonOf[o.item] == o.item)
+	}
+	return cracks
+}
 
 // Matching returns a copy of the current matching (item -> anonymized item).
 func (s *Sampler) Matching() []int {
-	return append([]int(nil), s.anonOf...)
+	m := make([]int, len(s.anonOf))
+	for x, w := range s.anonOf {
+		m[x] = int(w)
+	}
+	return m
 }
 
 // Step performs one sweep of the configured move kind.

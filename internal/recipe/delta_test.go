@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/budget"
@@ -102,7 +103,7 @@ func TestDeltaSessionMatchesFullAssess(t *testing.T) {
 				if err := current.ApplyDiff(d); err != nil {
 					t.Fatalf("workers=%d trial %d step %d: reference ApplyDiff: %v", workers, trial, step, err)
 				}
-				fresh, err := dataset.NewTable(current.NTransactions, current.Counts)
+				fresh, err := dataset.NewTable(current.NTransactions, slices.Clone(current.Counts))
 				if err != nil {
 					t.Fatal(err)
 				}
