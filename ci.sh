@@ -4,20 +4,24 @@
 #   ./ci.sh          vet + gofmt + riskvet + build + race-enabled tests
 #   ./ci.sh -short   same, with -short tests plus brief fuzz runs of the
 #                    two parser fuzzers (against their committed corpora),
-#                    the counts-diff fuzzer and the two differential
-#                    fuzzers of riskd's request decoding
+#                    the counts-diff fuzzer, the two differential
+#                    fuzzers of riskd's request decoding and the fuzzer of
+#                    riskd's RSNP1 cache snapshot loader
 #   ./ci.sh -bench   additionally run the parallel-engine benchmarks at
 #                    GOMAXPROCS=1 and GOMAXPROCS=nproc plus the kernel
 #                    microbenchmarks (bitset O-estimate scan vs the boolean
 #                    loop it replaced; one PUMSB alpha binary search and one
 #                    RETAIL delta-session diff at riskd's defaults; riskd's
-#                    decode of one RETAIL assess body; the CONNECT sampler
+#                    decode of one RETAIL assess body and its aliased cache
+#                    hit on that body; the CONNECT sampler
 #                    estimate a connect_sampled request runs) and emit
 #                    BENCH_parallel.json (one run object per gomaxprocs with
 #                    ns/op and speedup vs serial per worker count, a
 #                    microbenchmarks section, and — on single-core machines —
 #                    a flat_parallel_warning note) to track the perf
-#                    trajectory
+#                    trajectory; before overwriting it, warn (never fail)
+#                    on each microbenchmark more than 25% slower than the
+#                    committed file
 #   ./ci.sh -serve   additionally run the riskd serving smoke test
 #                    (ephemeral port, health probe, assess round-trip,
 #                    cached repeat, clean shutdown)
@@ -124,6 +128,7 @@ if [ -n "$short" ]; then
 	go test -run '^$' -fuzz '^FuzzCountsDiff$' -fuzztime 5s ./internal/dataset/
 	go test -run '^$' -fuzz '^FuzzAssessRequest$' -fuzztime 5s ./internal/server/
 	go test -run '^$' -fuzz '^FuzzDeltaRequest$' -fuzztime 5s ./internal/server/
+	go test -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime 5s ./internal/server/
 fi
 
 if [ -n "$lint" ]; then
@@ -171,12 +176,14 @@ if [ -n "$bench" ]; then
 	# alpha binary search on the PUMSB profile (the search a pumsb_cold
 	# request runs); one delta-session diff on the RETAIL profile (the
 	# update a retail_delta request runs); riskd's decode of one RETAIL
-	# assess body (the decode every retail_hot cache hit pays); and one
+	# assess body (the decode a body pays until it has an alias, and every
+	# body that never repeats); riskd's aliased cache hit on that body, end
+	# to end through its handler (the request retail_hot repeats); and one
 	# sampler estimate on the CONNECT profile (the estimate a
 	# connect_sampled request runs), with its cost per proposal made. The
-	# last four are recorded with their allocations.
+	# last five are recorded with their allocations.
 	echo "-- kernel microbenchmarks --"
-	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin|BenchmarkApplyDiffRETAIL|BenchmarkDecodeAssessRETAIL|BenchmarkEstimateCONNECT' -benchtime 2s \
+	go test -run '^$' -bench 'BenchmarkOEstimateScan|BenchmarkMaxAlphaWithin|BenchmarkApplyDiffRETAIL|BenchmarkDecodeAssessRETAIL|BenchmarkAssessHitRETAIL|BenchmarkEstimateCONNECT' -benchtime 2s \
 		./internal/core/ ./internal/recipe/ ./internal/server/ ./internal/matching/ |
 		tee BENCH_micro.txt |
 		awk '
@@ -198,6 +205,10 @@ if [ -n "$bench" ]; then
 			ns["decode"] = $3 + 0
 			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs["decode"] = $i + 0
 		}
+		/^BenchmarkAssessHitRETAIL(-[0-9]+)?[ \t]/ {
+			ns["hit"] = $3 + 0
+			for (i = 4; i < NF; i++) if ($(i + 1) == "allocs/op") allocs["hit"] = $i + 0
+		}
 		/^BenchmarkEstimateCONNECT(-[0-9]+)?[ \t]/ {
 			ns["estimate"] = $3 + 0
 			for (i = 4; i < NF; i++) {
@@ -206,7 +217,7 @@ if [ -n "$bench" ]; then
 			}
 		}
 		END {
-			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns) || !("delta" in ns) || !("decode" in ns) || !("estimate" in ns)) {
+			if (!("impl=bitset" in ns) || !("impl=bools" in ns) || !("search" in ns) || !("delta" in ns) || !("decode" in ns) || !("hit" in ns) || !("estimate" in ns)) {
 				print "ci.sh: no microbenchmark output to parse" > "/dev/stderr"
 				exit 1
 			}
@@ -219,6 +230,7 @@ if [ -n "$bench" ]; then
 			printf "    \"MaxAlphaWithin\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["search"], allocs["search"]
 			printf "    \"ApplyDiffRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["delta"], allocs["delta"]
 			printf "    \"DecodeAssessRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["decode"], allocs["decode"]
+			printf "    \"AssessHitRETAIL\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d},\n", ns["hit"], allocs["hit"]
 			printf "    \"EstimateCONNECT\": {\"ns_per_op\": %.0f, \"allocs_per_op\": %d, \"ns_per_proposal\": %.2f}\n", ns["estimate"], allocs["estimate"], perprop
 			printf "  },\n"
 		}' >>BENCH_parallel.tmp
@@ -267,6 +279,34 @@ if [ -n "$bench" ]; then
 			}' >>BENCH_parallel.tmp
 	done
 	printf '\n  ]\n}\n' >>BENCH_parallel.tmp
+	# Compare each microbenchmark's ns_per_op with the committed file (the
+	# working copy outside a git checkout) and warn on any more than 25%
+	# slower, BENCHMARK.json's bound on CPU time. A warning never fails the
+	# run: the host may be shared, so one slow reading is not a regression.
+	git show HEAD:BENCH_parallel.json >BENCH_committed.json 2>/dev/null ||
+		cp BENCH_parallel.json BENCH_committed.json 2>/dev/null || : >BENCH_committed.json
+	awk '
+		# Each line of the microbenchmarks block that carries an ns_per_op
+		# names its benchmark; a nested one (OEstimateScan) is prefixed
+		# with the block that opened it.
+		FNR == 1 { micro = 0; group = "" }
+		/"microbenchmarks": \{/ { micro = 1; next }
+		!micro { next }
+		/^  \}/ { micro = 0; next }
+		/^    "[^"]+": \{$/ { split($0, q, "\""); group = q[2] "/"; next }
+		/^    \}/ { group = ""; next }
+		/"ns_per_op": / {
+			split($0, q, "\""); name = group q[2]
+			v = $0; sub(/.*"ns_per_op": /, "", v); v += 0
+			if (FILENAME == ARGV[1]) { old[name] = v; next }
+			if (!(name in old)) {
+				printf "ci.sh: microbenchmark %s is new: %.0f ns/op, no committed value\n", name, v
+			} else if (old[name] > 0 && v > 1.25 * old[name]) {
+				printf "ci.sh: warning: microbenchmark %s is %.0f%% slower than committed: %.0f ns/op vs %.0f\n", \
+					name, 100 * (v / old[name] - 1), v, old[name]
+			}
+		}' BENCH_committed.json BENCH_parallel.tmp
+	rm -f BENCH_committed.json
 	mv BENCH_parallel.tmp BENCH_parallel.json
 	rm -f BENCH_parallel.txt BENCH_micro.txt
 	echo "wrote BENCH_parallel.json"

@@ -27,12 +27,13 @@
 // accepted request is dropped.
 //
 // -selfcheck starts the service on an ephemeral localhost port, runs a
-// health probe and one assess round-trip twice — asserting the repeat is
-// served from cache — then evolves the release through /v1/assess/delta
-// while watching it on a /v1/assess/subscribe stream (the incremental
-// verdict must both answer the POST and arrive on the stream), and shuts
-// down cleanly; the exit status reports the outcome. ci.sh -serve and
-// ci.sh -delta use it as the serving smoke test.
+// health probe and one assess round-trip three times — asserting both
+// repeats are served from cache, the second through its body alias — then
+// evolves the release through /v1/assess/delta while watching it on a
+// /v1/assess/subscribe stream (the incremental verdict must both answer the
+// POST and arrive on the stream), and shuts down cleanly; the exit status
+// reports the outcome. ci.sh -serve and ci.sh -delta use it as the serving
+// smoke test.
 //
 // -selfcheck-chaos runs one seeded fault-injection scenario end to end
 // (internal/chaos): faults from -fault-schedule (default: the standard mix)
@@ -208,7 +209,8 @@ func runSelfcheckChaos(seed int64, schedule string) error {
 }
 
 // runSelfcheck exercises the full HTTP surface in-process: healthz, a cold
-// assess, a warm (cached) repeat, and /debug/vars, then a clean shutdown.
+// assess, a warm (cached) repeat and an aliased one, delta + subscribe, and
+// /debug/vars, then a clean shutdown.
 func runSelfcheck(cfg server.Config) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -233,9 +235,10 @@ func runSelfcheck(cfg server.Config) error {
 			return fmt.Errorf("healthz status %q, want ok", health.Status)
 		}
 
-		// One assess round-trip, twice: the repeat must come from cache.
-		// 40 items with distinct supports over 100 transactions keeps the
-		// recipe cheap but non-trivial (it reaches the α search).
+		// One assess round-trip, three times: the repeats must come from
+		// cache, the third through the alias the second recorded for the
+		// body. 40 items with distinct supports over 100 transactions keeps
+		// the recipe cheap but non-trivial (it reaches the α search).
 		counts := make([]int, 40)
 		for i := range counts {
 			counts[i] = i + 1
@@ -246,7 +249,7 @@ func runSelfcheck(cfg server.Config) error {
 		if err != nil {
 			return err
 		}
-		var cold, warm server.AssessResponse
+		var cold, warm, aliased server.AssessResponse
 		if err := postJSON(client, base+"/v1/assess", body, &cold); err != nil {
 			return fmt.Errorf("assess (cold): %w", err)
 		}
@@ -262,7 +265,14 @@ func runSelfcheck(cfg server.Config) error {
 		if warm.Key != cold.Key {
 			return fmt.Errorf("cache keys differ across identical requests: %s vs %s", cold.Key, warm.Key)
 		}
-		fmt.Printf("riskd: assess ok (method %q, cached repeat, key %s)\n", cold.Method, cold.Key[:12])
+		if err := postJSON(client, base+"/v1/assess", body, &aliased); err != nil {
+			return fmt.Errorf("assess (aliased): %w", err)
+		}
+		if !aliased.Cached || aliased.Key != warm.Key || aliased.Digest != warm.Digest {
+			return fmt.Errorf("third identical assess: cached=%v key %s digest %s, want the warm repeat's %s and %s",
+				aliased.Cached, aliased.Key, aliased.Digest, warm.Key, warm.Digest)
+		}
+		fmt.Printf("riskd: assess ok (method %q, cached and aliased repeats, key %s)\n", cold.Method, cold.Key[:12])
 
 		// Delta + subscribe smoke: watch the release on an SSE stream, evolve
 		// it by one sparse diff through /v1/assess/delta, and assert the
@@ -309,6 +319,9 @@ func runSelfcheck(cfg server.Config) error {
 			Cache struct {
 				Hits int64 `json:"hits"`
 			} `json:"cache"`
+			Aliases struct {
+				Hits int64 `json:"hits"`
+			} `json:"aliases"`
 			Delta struct {
 				Incremental int64 `json:"incremental"`
 			} `json:"delta"`
@@ -318,6 +331,9 @@ func runSelfcheck(cfg server.Config) error {
 		}
 		if vars.Cache.Hits < 1 {
 			return fmt.Errorf("debug/vars reports %d cache hits, want >= 1", vars.Cache.Hits)
+		}
+		if vars.Aliases.Hits < 1 {
+			return fmt.Errorf("debug/vars reports %d alias hits, want >= 1", vars.Aliases.Hits)
 		}
 		if vars.Delta.Incremental < 1 {
 			return fmt.Errorf("debug/vars reports %d incremental deltas, want >= 1", vars.Delta.Incremental)

@@ -150,6 +150,19 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
+// Touch marks key most recently used and reports whether it is present. It
+// counts neither a hit nor a miss: to a present entry it does what a Put of
+// an equal value does.
+func (c *Cache[V]) Touch(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ele, ok := c.entries[key]
+	if ok {
+		c.ll.MoveToFront(ele)
+	}
+	return ok
+}
+
 // Put stores val under key unconditionally, marking it most recently used
 // and evicting the oldest entry on overflow. It is the registration path for
 // values that arrive outside a computation — e.g. the delta endpoint's

@@ -56,6 +56,28 @@ func TestGetOrComputeHitMissEvict(t *testing.T) {
 	}
 }
 
+func TestTouchRefreshesRecencyWithoutCounting(t *testing.T) {
+	c := New[int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if !c.Touch("a") {
+		t.Fatal("Touch(a) = false for a present entry")
+	}
+	if c.Touch("z") {
+		t.Error("Touch(z) = true for an absent entry")
+	}
+	c.Put("c", 3) // a was touched, so b is the LRU victim
+	if _, ok := c.Get("b"); ok {
+		t.Error("b should have been evicted")
+	}
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Errorf("Get(a) = (%d, %v), want (1, true)", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 || st.Entries != 2 || st.Evictions != 1 {
+		t.Errorf("stats = %+v, want the one Get hit, 2 entries, 1 eviction", st)
+	}
+}
+
 func TestErrorsAndUncacheableNotStored(t *testing.T) {
 	c := New[int](4)
 	ctx := context.Background()

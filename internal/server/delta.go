@@ -124,7 +124,7 @@ func deltaJob(ft *dataset.FrequencyTable, req *DeltaRequest) (*Job, error) {
 func (s *Server) handleAssessDelta(w http.ResponseWriter, r *http.Request) {
 	startReq := time.Now()
 	var req DeltaRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 		s.badInput.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return

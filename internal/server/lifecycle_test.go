@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -253,6 +254,81 @@ func TestSnapshotNeverCarriesDegraded(t *testing.T) {
 	if loaded != 1 || skipped != 1 {
 		t.Errorf("loaded=%d skipped=%d, want the degraded entry rejected (1/1)", loaded, skipped)
 	}
+}
+
+// snapshotFrames walks the RSNP1 framing of data (riskcache/snapshot.go)
+// without checking a checksum or decoding a value. It returns the number of
+// entries the file frames, a torn or implausibly long last entry included,
+// and false when data does not start with the magic.
+func snapshotFrames(data []byte) (int, bool) {
+	rest, ok := bytes.CutPrefix(data, []byte("RSNP1\n"))
+	if !ok {
+		return 0, false
+	}
+	// field consumes a u32 length prefix and that many bytes; false means
+	// the entry ends the file there.
+	field := func(limit uint32) bool {
+		if len(rest) < 4 {
+			return false
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		rest = rest[4:]
+		if n > limit || uint64(len(rest)) < uint64(n) {
+			return false
+		}
+		rest = rest[n:]
+		return true
+	}
+	entries := 0
+	for len(rest) > 0 {
+		entries++
+		if !field(1<<20) || !field(64<<20) || len(rest) < 4 {
+			break
+		}
+		rest = rest[4:] // the entry's CRC
+	}
+	return entries, true
+}
+
+// FuzzSnapshotLoad feeds arbitrary bytes to riskcache.ReadSnapshot with the
+// server's snapshotDecode. An alias hit serves whatever the verdict cache
+// holds, snapshot-restored entries included, so the loader must not panic,
+// must load no degraded outcome, must count every entry the file frames as
+// loaded or skipped, and must read back what it writes unchanged.
+func FuzzSnapshotLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := riskcache.New[*Outcome](0)
+		loaded, skipped, err := c.ReadSnapshot(bytes.NewReader(data), snapshotDecode)
+		framed, ok := snapshotFrames(data)
+		if !ok {
+			if !errors.Is(err, riskcache.ErrBadSnapshot) || loaded != 0 || skipped != 0 {
+				t.Fatalf("no magic: loaded=%d skipped=%d err=%v, want ErrBadSnapshot", loaded, skipped, err)
+			}
+			return
+		}
+		if err != nil || loaded+skipped != framed || c.Len() != loaded {
+			t.Fatalf("loaded=%d skipped=%d (cache holds %d) err=%v, want %d framed entries accounted for",
+				loaded, skipped, c.Len(), err, framed)
+		}
+		var written bytes.Buffer
+		n, err := c.WriteSnapshot(&written, func(o *Outcome) ([]byte, error) {
+			if o.Degraded {
+				t.Errorf("degraded outcome loaded: %+v", o)
+			}
+			return json.Marshal(o)
+		})
+		if err != nil || n != loaded {
+			t.Fatalf("WriteSnapshot: %d of %d entries, err=%v", n, loaded, err)
+		}
+		back := riskcache.New[*Outcome](0)
+		if l, sk, err := back.ReadSnapshot(bytes.NewReader(written.Bytes()), snapshotDecode); err != nil || l != loaded || sk != 0 {
+			t.Fatalf("reading back: loaded=%d skipped=%d err=%v, want %d/0", l, sk, err, loaded)
+		}
+		var again bytes.Buffer
+		if _, err := back.WriteSnapshot(&again, snapshotEncode); err != nil || !bytes.Equal(again.Bytes(), written.Bytes()) {
+			t.Fatalf("read back differs (err=%v):\n%q\n%q", err, again.Bytes(), written.Bytes())
+		}
+	})
 }
 
 func TestSnapshotPathsDisabled(t *testing.T) {

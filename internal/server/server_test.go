@@ -338,6 +338,11 @@ func TestHealthzAndVars(t *testing.T) {
 			Hits   int64 `json:"hits"`
 			Misses int64 `json:"misses"`
 		} `json:"cache"`
+		Aliases struct {
+			Entries   int   `json:"entries"`
+			Hits      int64 `json:"hits"`
+			Evictions int64 `json:"evictions"`
+		} `json:"aliases"`
 	}
 	json.Unmarshal(rec.Body.Bytes(), &vars)
 	if vars.Requests != 2 {
@@ -345,6 +350,18 @@ func TestHealthzAndVars(t *testing.T) {
 	}
 	if vars.Cache.Hits != 1 || vars.Cache.Misses != 1 {
 		t.Errorf("cache hits/misses = %d/%d, want 1/1", vars.Cache.Hits, vars.Cache.Misses)
+	}
+	// The decoded hit recorded the body's alias; a third request uses it.
+	if vars.Aliases.Entries != 1 || vars.Aliases.Hits != 0 {
+		t.Errorf("aliases entries/hits = %d/%d, want 1/0", vars.Aliases.Entries, vars.Aliases.Hits)
+	}
+	post(t, h, countsBody(10, ""), nil)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+	json.Unmarshal(rec.Body.Bytes(), &vars)
+	if vars.Requests != 3 || vars.Cache.Hits != 2 || vars.Aliases.Hits != 1 || vars.Aliases.Evictions != 0 {
+		t.Errorf("after an aliased repeat: requests %d, cache hits %d, aliases %+v; want 3, 2, 1 hit",
+			vars.Requests, vars.Cache.Hits, vars.Aliases)
 	}
 
 	// Method guards: GET on the assess route is a 405.

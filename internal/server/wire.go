@@ -3,20 +3,53 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"reflect"
 )
 
-// decodeBody decodes a POST body the way every handler does: at most
-// maxBodyBytes, unknown fields rejected, and only the first JSON value
-// read, so bytes after it are ignored.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+// decodeBody decodes a POST body the way every handler does: unknown
+// fields rejected, and only the first JSON value read, so bytes after it
+// are ignored. r is the body capped at maxBodyBytes, or what readBody
+// read from it.
+func decodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
+}
+
+// readBody reads a body that declares a Content-Length within maxBodyBytes
+// into memory, for the assess handler to hash before it decodes. The buffer
+// starts at min(Content-Length, 1 MiB) + 1 bytes, the extra byte letting a
+// reader that reports EOF on a later call finish without a second buffer,
+// and grows only as bytes arrive, so a client's claim alone never
+// allocates more. It returns the whole body, or nil for a chunked body, one
+// declared over the limit and one whose read failed. src yields what the
+// capped body stream would, a failed read's error included, so decodeBody
+// answers every body as it did unbuffered.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, src io.Reader) {
+	limited := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if r.ContentLength < 0 || r.ContentLength > maxBodyBytes {
+		return nil, limited
+	}
+	buf := make([]byte, 0, min(r.ContentLength, 1<<20)+1)
+	for {
+		n, err := limited.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if errors.Is(err, io.EOF) {
+			return buf, bytes.NewReader(buf)
+		}
+		if err != nil {
+			// http.MaxBytesReader repeats its error on every later read.
+			return nil, io.MultiReader(bytes.NewReader(buf), limited)
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // Ints is a JSON array of integers on riskd's wire: DatasetRef.Counts and

@@ -59,7 +59,7 @@ func fromPlain(v reflect.Value, t reflect.Type) reflect.Value {
 
 // decodeLikeHandler decodes body with the handlers' decodeBody.
 func decodeLikeHandler(w http.ResponseWriter, body []byte, v any) error {
-	return decodeBody(w, &http.Request{Body: io.NopCloser(bytes.NewReader(body))}, v)
+	return decodeBody(http.MaxBytesReader(w, io.NopCloser(bytes.NewReader(body)), maxBodyBytes), v)
 }
 
 // decodeBoth decodes body like the handlers do, into a T and into
@@ -133,20 +133,30 @@ func TestIntsUnmarshalDirect(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeAssessRETAIL times the handlers' decode of one assess body
-// carrying the RETAIL profile's 16,470 counts (datagen seed 1): the body
-// riskdbench's retail_hot workload repeats, where every request is a cache
-// hit. ci.sh -bench records it under "microbenchmarks" in
-// BENCH_parallel.json.
-func BenchmarkDecodeAssessRETAIL(b *testing.B) {
+// retailBody is the recipe-mode assess body carrying the RETAIL profile's
+// 16,470 counts (datagen seed 1), the body riskdbench's retail_hot workload
+// repeats.
+func retailBody(tb testing.TB) []byte {
+	tb.Helper()
 	ft, err := datagen.RETAIL.Counts(rand.New(rand.NewSource(1)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	body, err := json.Marshal(AssessRequest{Dataset: DatasetRef{Transactions: ft.NTransactions, Counts: ft.Counts}})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return body
+}
+
+// BenchmarkDecodeAssessRETAIL times the handlers' decode of one assess body
+// carrying the RETAIL profile's 16,470 counts (datagen seed 1). riskd pays
+// it on the first two sights of a body, before the body has an alias, and
+// on every body that does not repeat; BenchmarkAssessHitRETAIL times the
+// aliased repeat. ci.sh -bench records it under "microbenchmarks" in
+// BENCH_parallel.json.
+func BenchmarkDecodeAssessRETAIL(b *testing.B) {
+	body := retailBody(b)
 	w := httptest.NewRecorder()
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
