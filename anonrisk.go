@@ -57,7 +57,7 @@ type (
 	FrequentItemset = fim.FrequentItemset
 
 	// SamplerConfig configures the Section 7.1 matching-space MCMC sampler
-	// used by the simulation / degraded tiers of AttackCtx.
+	// used by the simulation / degraded tiers of AttackTableCtx.
 	SamplerConfig = matching.Config
 )
 
@@ -97,7 +97,7 @@ const (
 // ordinary error, so a malformed input or an internal bug cannot crash the
 // embedding process. Use with named return values:
 //
-//	defer recoverToError("Attack", &err)
+//	defer recoverToError("AttackTableCtx", &err)
 func recoverToError(op string, errp *error) {
 	if r := recover(); r != nil {
 		*errp = fmt.Errorf("anonrisk: %s: internal panic: %v", op, r)
@@ -132,35 +132,14 @@ func Anonymize(db *Database, rng *rand.Rand) (release *Database, key *Mapping, e
 	return release, key, nil
 }
 
-// AssessRisk runs Algorithm Assess-Risk (Figure 8) on the database with
-// tolerance tau and default settings (5 subset runs, propagation on,
-// comfort level 0.5). Use AssessRiskOptions for full control.
-func AssessRisk(db *Database, tau float64, rng *rand.Rand) (*Assessment, error) {
-	return AssessRiskCtx(context.Background(), db, tau, rng)
-}
-
-// AssessRiskCtx is AssessRisk under a work budget. When the budget runs out
-// mid-search the assessment degrades gracefully: the result carries the
-// largest α proven safe so far (a conservative lower bound) with Degraded
-// set, instead of failing.
-func AssessRiskCtx(ctx context.Context, db *Database, tau float64, rng *rand.Rand) (a *Assessment, err error) {
-	defer recoverToError("AssessRisk", &err)
-	return recipe.AssessRiskCtx(ctx, db.Table(), recipe.Options{
-		Tolerance: tau,
-		Propagate: true,
-		Rng:       rng,
-	})
-}
-
-// AssessRiskOptions runs the recipe with explicit options.
-func AssessRiskOptions(db *Database, opts AssessOptions) (*Assessment, error) {
-	return AssessRiskOptionsCtx(context.Background(), db, opts)
-}
-
-// AssessRiskOptionsCtx is AssessRiskOptions under a work budget; see
-// AssessRiskCtx for the degradation semantics.
-func AssessRiskOptionsCtx(ctx context.Context, db *Database, opts AssessOptions) (a *Assessment, err error) {
-	defer recoverToError("AssessRisk", &err)
+// AssessRiskCtx runs Algorithm Assess-Risk (Figure 8) on the database with
+// explicit options; unset Runs and AlphaComfort take the recipe's defaults
+// (5 subset runs, comfort level 0.5), and Propagate is off unless set. When
+// the budget runs out mid-search the assessment degrades gracefully: the
+// result carries the largest α proven safe so far (a conservative lower
+// bound) with Degraded set, instead of failing.
+func AssessRiskCtx(ctx context.Context, db *Database, opts AssessOptions) (a *Assessment, err error) {
+	defer recoverToError("AssessRiskCtx", &err)
 	return recipe.AssessRiskCtx(ctx, db.Table(), opts)
 }
 
@@ -202,21 +181,7 @@ func ConsistencyGraph(bf *BeliefFunction, db *Database) (*Graph, error) {
 	return bipartite.Build(bf, dataset.GroupItems(db.Table()))
 }
 
-// Attack quantifies what a hacker holding bf achieves against the database's
-// anonymized release: the O-estimate of expected cracks and, when simulate is
-// true, a matching-space simulation estimate with its standard deviation.
-//
-// The O-estimate applies degree-1 propagation when the consistency graph
-// admits a perfect matching. When it does not — common for partially wrong
-// (α-compliant) belief functions — the report's Infeasible flag is set, the
-// O-estimate falls back to the paper's Section 5.3 per-item form
-// Σ_{compliant} 1/O_x (which needs no global matching), and simulation is
-// skipped.
-func Attack(bf *BeliefFunction, db *Database, simulate bool, rng *rand.Rand) (AttackReport, error) {
-	return AttackCtx(context.Background(), bf, db, AttackOptions{Simulate: simulate, Rng: rng})
-}
-
-// AttackOptions configures AttackCtx.
+// AttackOptions configures AttackTableCtx.
 type AttackOptions struct {
 	// Exact requests the permanent-based exact expectation (Section 4.1) as
 	// the preferred tier. It is #P-complete, so it only runs for domains with
@@ -235,8 +200,44 @@ type AttackOptions struct {
 	Rng *rand.Rand
 }
 
-// AttackCtx is Attack under a work budget, with a degradation cascade instead
-// of an error when the budget runs out:
+// floorEstimate builds the consistency graph and runs the cascade floor
+// under ctx: the O-estimate with degree-1 propagation, or the Section 5.3
+// per-item form with Infeasible set when propagation proves that no perfect
+// matching exists. A non-zero interest counts only its members.
+func floorEstimate(ctx context.Context, bf *BeliefFunction, ft *FrequencyTable, interest bitset.Set) (*Graph, AttackReport, error) {
+	rep := AttackReport{Items: ft.NItems, Method: MethodOEstimate}
+	g, err := bipartite.Build(bf, dataset.GroupItems(ft))
+	if err != nil {
+		return nil, rep, err
+	}
+	oe, err := core.OEstimateGraphCtx(ctx, g, core.OEOptions{Propagate: true, Interest: interest})
+	if errors.Is(err, bipartite.ErrInfeasible) {
+		rep.Infeasible = true
+		oe, err = core.OEstimateGraphCtx(ctx, g, core.OEOptions{Interest: interest})
+	}
+	if err != nil {
+		return nil, rep, err
+	}
+	rep.OEstimate = oe.Value
+	rep.ForcedCracks = oe.ForcedCracks
+	rep.Expected = oe.Value
+	return g, rep, nil
+}
+
+// AttackTableCtx quantifies what a hacker holding bf achieves against the
+// anonymized release of a frequency table; a Database holder passes
+// db.Table(). Every tier depends on the data only through its support
+// counts, so callers that never materialize transactions — the riskd
+// service, streaming CLI paths — run the identical cascade.
+//
+// The report always carries the O-estimate of expected cracks, with
+// degree-1 propagation when the consistency graph admits a perfect matching.
+// When it does not — common for partially wrong (α-compliant) belief
+// functions — Infeasible is set, the O-estimate falls back to the paper's
+// Section 5.3 per-item form Σ_{compliant} 1/O_x (which needs no global
+// matching), and the tiers below are skipped. opts picks the preferred tier,
+// run under a work budget with a degradation cascade instead of an error
+// when the budget runs out:
 //
 //	exact (permanent DP)  →  sampled (MCMC)  →  O-estimate
 //
@@ -249,46 +250,19 @@ type AttackOptions struct {
 //
 // The report's Method records the tier that produced Expected; Degraded and
 // DegradedReason record whether (and why) a preferred tier was abandoned.
-func AttackCtx(ctx context.Context, bf *BeliefFunction, db *Database, opts AttackOptions) (AttackReport, error) {
-	return AttackTableCtx(ctx, bf, db.Table(), opts)
-}
-
-// AttackTableCtx is AttackCtx against a frequency table directly. Every tier
-// of the cascade depends on the data only through its support counts, so
-// callers that never materialize transactions — the riskd service, streaming
-// CLI paths — run the identical cascade on the lighter representation.
 func AttackTableCtx(ctx context.Context, bf *BeliefFunction, ft *FrequencyTable, opts AttackOptions) (rep AttackReport, err error) {
-	defer recoverToError("Attack", &err)
+	defer recoverToError("AttackTableCtx", &err)
 	if cerr := ctx.Err(); cerr != nil && !errors.Is(cerr, context.DeadlineExceeded) {
 		return rep, budget.WrapContextErr(cerr)
-	}
-
-	rep = AttackReport{Items: ft.NItems, Method: MethodOEstimate}
-
-	// One consistency graph serves both O-estimates and every tier.
-	g, gerr := bipartite.Build(bf, dataset.GroupItems(ft))
-	if gerr != nil {
-		return rep, gerr
 	}
 
 	// Floor first: the O-estimate must be available whatever happens to the
 	// expensive tiers, so it runs detached from the deadline (but aborts on
 	// explicit cancellation, checked above and inside the cascade below).
-	floorCtx := context.WithoutCancel(ctx)
-	oe, oerr := core.OEstimateGraphCtx(floorCtx, g, core.OEOptions{Propagate: true})
-	if errors.Is(oerr, bipartite.ErrInfeasible) {
-		rep.Infeasible = true
-		oe, oerr = core.OEstimateGraphCtx(floorCtx, g, core.OEOptions{})
-	}
-	if oerr != nil {
-		return rep, oerr
-	}
-	rep.OEstimate = oe.Value
-	rep.ForcedCracks = oe.ForcedCracks
-	rep.Expected = oe.Value
-
-	if rep.Infeasible || (!opts.Exact && !opts.Simulate) {
-		return rep, nil
+	// Its consistency graph then serves every tier.
+	g, rep, err := floorEstimate(context.WithoutCancel(ctx), bf, ft, bitset.Set{})
+	if err != nil || rep.Infeasible || (!opts.Exact && !opts.Simulate) {
+		return rep, err
 	}
 
 	// Exact tier.
@@ -337,7 +311,7 @@ func AttackTableCtx(ctx context.Context, bf *BeliefFunction, ft *FrequencyTable,
 	}
 }
 
-// AttackReport summarizes an Attack run.
+// AttackReport summarizes an attack: AttackTableCtx or AttackSubsetCtx.
 type AttackReport struct {
 	Items           int     // domain size
 	OEstimate       float64 // O-estimate of expected cracks
@@ -361,57 +335,32 @@ type AttackReport struct {
 // OEstimateFraction returns the O-estimate as a fraction of the domain.
 func (r AttackReport) OEstimateFraction() float64 { return r.OEstimate / float64(r.Items) }
 
-// AttackSubset is Attack restricted to the owner's items of interest — only
-// the marked items count toward the estimate, the Lemma 2/4 view (e.g. only
-// the top sellers matter). Simulation is not run; interest[x] marks counted
-// items.
-func AttackSubset(bf *BeliefFunction, db *Database, interest []bool, rng *rand.Rand) (AttackReport, error) {
-	return AttackSubsetCtx(context.Background(), bf, db, interest)
-}
-
-// AttackSubsetCtx is AttackSubset under a work budget.
+// AttackSubsetCtx is the O-estimate of AttackTableCtx restricted to the
+// owner's items of interest — only the marked items count toward the
+// estimate, the Lemma 2/4 view (e.g. only the top sellers matter).
+// Simulation is not run; interest[x] marks counted items, and a nil slice
+// counts every item.
 func AttackSubsetCtx(ctx context.Context, bf *BeliefFunction, db *Database, interest []bool) (rep AttackReport, err error) {
-	defer recoverToError("AttackSubset", &err)
-	ft := db.Table()
-	rep = AttackReport{Items: ft.NItems, Method: MethodOEstimate}
+	defer recoverToError("AttackSubsetCtx", &err)
 	// The facade keeps its []bool signature; the kernels take packed words.
 	// A nil interest slice means "count every item", the kernels' zero Set.
 	var marked bitset.Set
 	if interest != nil {
 		marked = bitset.FromBools(interest)
 	}
-	g, err := bipartite.Build(bf, dataset.GroupItems(ft))
-	if err != nil {
-		return rep, err
-	}
-	oe, err := core.OEstimateGraphCtx(ctx, g, core.OEOptions{Propagate: true, Interest: marked})
-	if errors.Is(err, bipartite.ErrInfeasible) {
-		rep.Infeasible = true
-		oe, err = core.OEstimateGraphCtx(ctx, g, core.OEOptions{Interest: marked})
-	}
-	if err != nil {
-		return rep, err
-	}
-	rep.OEstimate = oe.Value
-	rep.ForcedCracks = oe.ForcedCracks
-	rep.Expected = oe.Value
-	return rep, nil
+	_, rep, err = floorEstimate(ctx, bf, db.Table(), marked)
+	return rep, err
 }
 
-// CrackDistribution returns the exact distribution P(X = k) of the number of
-// cracks under the given belief function, by enumerating the consistent
+// CrackDistributionCtx returns the exact distribution P(X = k) of the number
+// of cracks under the given belief function, by enumerating the consistent
 // crack mappings — feasible for small domains only (the direct method of
-// Section 4.1 is #P-complete).
-func CrackDistribution(bf *BeliefFunction, db *Database) ([]float64, error) {
-	return CrackDistributionCtx(context.Background(), bf, db)
-}
-
-// CrackDistributionCtx is CrackDistribution under a work budget. The
-// enumeration is exponential and has no cheaper substitute, so there is no
-// cascade here: when the budget runs out the error is returned
-// (budget.IsBudgetError reports true) and the caller decides what to do.
+// Section 4.1 is #P-complete). The enumeration is exponential and has no
+// cheaper substitute, so there is no cascade here: when the budget runs out
+// the error is returned (budget.IsBudgetError reports true) and the caller
+// decides what to do.
 func CrackDistributionCtx(ctx context.Context, bf *BeliefFunction, db *Database) (dist []float64, err error) {
-	defer recoverToError("CrackDistribution", &err)
+	defer recoverToError("CrackDistributionCtx", &err)
 	g, err := ConsistencyGraph(bf, db)
 	if err != nil {
 		return nil, err
@@ -427,20 +376,6 @@ func ExpectedCracksIgnorant(n int) float64 { return core.ExpectedCracksIgnorant(
 func ExpectedCracksExactKnowledge(db *Database) float64 {
 	return core.ExpectedCracksPointValued(dataset.GroupItems(db.Table()))
 }
-
-// DigestTable returns the stable content address of a frequency table — the
-// dataset half of an assessment cache key (internal/riskcache). Two tables
-// digest equal exactly when every analysis in this package scores them
-// identically.
-func DigestTable(ft *FrequencyTable) string { return ft.Digest() }
-
-// DigestDatabase is DigestTable on the database's support-count view.
-func DigestDatabase(db *Database) string { return db.Table().Digest() }
-
-// DigestBelief returns the stable content address of a canonicalized belief
-// function — the belief half of an assessment cache key. Textually different
-// specs that parse to the same prior digest equal.
-func DigestBelief(bf *BeliefFunction) string { return bf.Digest() }
 
 // MineFrequentItemsets mines all itemsets with at least the given fractional
 // support, using FP-Growth.

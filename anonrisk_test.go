@@ -124,7 +124,7 @@ func TestAttackEndToEnd(t *testing.T) {
 	db := bigMartDB(t)
 
 	// Ignorant hacker: OE = 1.
-	rep, err := Attack(Ignorant(6), db, true, rng)
+	rep, err := AttackTableCtx(context.Background(), Ignorant(6), db.Table(), AttackOptions{Simulate: true, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestAttackEndToEnd(t *testing.T) {
 	}
 
 	// Omniscient hacker: OE = g = 3, with the two singleton groups forced.
-	rep, err = Attack(ExactKnowledge(db), db, true, rng)
+	rep, err = AttackTableCtx(context.Background(), ExactKnowledge(db), db.Table(), AttackOptions{Simulate: true, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestAttackInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Attack(bf, db, true, rng)
+	rep, err := AttackTableCtx(context.Background(), bf, db.Table(), AttackOptions{Simulate: true, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAttackInfeasiblePartialCompliance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Attack(bf, db, true, rng)
+	rep, err := AttackTableCtx(context.Background(), bf, db.Table(), AttackOptions{Simulate: true, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,15 +221,16 @@ func TestAssessRiskFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AssessRisk(db, 0.3, rng)
+	ctx := context.Background()
+	res, err := AssessRiskCtx(ctx, db, AssessOptions{Tolerance: 0.3, Propagate: true, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Disclose {
 		t.Errorf("flat database should disclose: %+v", res)
 	}
-	// Options passthrough.
-	res2, err := AssessRiskOptions(db, AssessOptions{Tolerance: 0.3, Rng: rng})
+	// Options pass through: without propagation the verdict agrees.
+	res2, err := AssessRiskCtx(ctx, db, AssessOptions{Tolerance: 0.3, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,19 +247,19 @@ func TestComputeStatsFacade(t *testing.T) {
 }
 
 func TestAttackSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
+	ctx := context.Background()
 	db := bigMartDB(t)
 	// Interested only in the two uniquely-frequent items (ids 1 and 4).
 	interest := []bool{false, true, false, false, true, false}
-	rep, err := AttackSubset(ExactKnowledge(db), db, interest, rng)
+	rep, err := AttackSubsetCtx(ctx, ExactKnowledge(db), db, interest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(rep.OEstimate-2) > 1e-9 {
 		t.Errorf("subset OE = %v, want 2 (both singletons cracked)", rep.OEstimate)
 	}
-	// Full interest reduces to Attack.
-	full, err := AttackSubset(ExactKnowledge(db), db, nil, rng)
+	// Full interest reduces to the whole-domain O-estimate.
+	full, err := AttackSubsetCtx(ctx, ExactKnowledge(db), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestAttackForcedCracksAreCracks(t *testing.T) {
 		for x := range interest {
 			interest[x] = rng.Intn(2) == 0
 		}
-		full, err := AttackCtx(ctx, bf, db, AttackOptions{})
+		full, err := AttackTableCtx(ctx, bf, db.Table(), AttackOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func TestAttackForcedCracksAreCracks(t *testing.T) {
 
 func TestCrackDistributionFacade(t *testing.T) {
 	db := bigMartDB(t)
-	dist, err := CrackDistribution(ExactKnowledge(db), db)
+	dist, err := CrackDistributionCtx(context.Background(), ExactKnowledge(db), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,21 +374,21 @@ func TestCrackDistributionFacade(t *testing.T) {
 }
 
 func TestFacadeErrorPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	ctx := context.Background()
 	db := bigMartDB(t)
 	// Belief over the wrong domain size propagates an error everywhere.
 	wrong := Ignorant(3)
-	if _, err := Attack(wrong, db, false, rng); err == nil {
-		t.Error("Attack with mismatched belief: want error")
+	if _, err := AttackTableCtx(ctx, wrong, db.Table(), AttackOptions{}); err == nil {
+		t.Error("AttackTableCtx with mismatched belief: want error")
 	}
-	if _, err := AttackSubset(wrong, db, nil, rng); err == nil {
-		t.Error("AttackSubset with mismatched belief: want error")
+	if _, err := AttackSubsetCtx(ctx, wrong, db, nil); err == nil {
+		t.Error("AttackSubsetCtx with mismatched belief: want error")
 	}
-	if _, err := AttackSubset(Ignorant(6), db, []bool{true}, rng); err == nil {
-		t.Error("AttackSubset with short interest: want error")
+	if _, err := AttackSubsetCtx(ctx, Ignorant(6), db, []bool{true}); err == nil {
+		t.Error("AttackSubsetCtx with short interest: want error")
 	}
-	if _, err := CrackDistribution(wrong, db); err == nil {
-		t.Error("CrackDistribution with mismatched belief: want error")
+	if _, err := CrackDistributionCtx(ctx, wrong, db); err == nil {
+		t.Error("CrackDistributionCtx with mismatched belief: want error")
 	}
 	if _, err := MineFrequentItemsets(db, 0); err == nil {
 		t.Error("MineFrequentItemsets with support 0: want error")
@@ -398,7 +399,6 @@ func TestFacadeErrorPaths(t *testing.T) {
 }
 
 func TestAttackSubsetInfeasibleFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
 	db := bigMartDB(t)
 	// Items 1 and 4 (the singleton groups) guess a frequency no item has:
 	// their own groups lose all candidates -> no global matching.
@@ -410,7 +410,7 @@ func TestAttackSubsetInfeasibleFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AttackSubset(bf, db, []bool{true, true, true, true, true, true}, rng)
+	rep, err := AttackSubsetCtx(context.Background(), bf, db, []bool{true, true, true, true, true, true})
 	if err != nil {
 		t.Fatal(err)
 	}

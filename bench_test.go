@@ -179,9 +179,9 @@ func BenchmarkOEstimateBudgeted(b *testing.B) {
 	}
 }
 
-// BenchmarkAttackRETAIL and BenchmarkAttackCtxRETAIL bracket the cascade
-// plumbing cost at the public API: same O-estimate work, with and without the
-// context/budget machinery and panic-recovery wrapper.
+// BenchmarkAttackRETAIL and BenchmarkAttackCtxRETAIL bracket the deadline
+// plumbing cost at the public API: the same O-estimate work under a
+// background context and under one carrying a deadline.
 func BenchmarkAttackRETAIL(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	db, err := datagen.RETAIL.Database(rng)
@@ -192,7 +192,7 @@ func BenchmarkAttackRETAIL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Attack(bf, db, false, nil); err != nil {
+		if _, err := AttackTableCtx(context.Background(), bf, db.Table(), AttackOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func BenchmarkAttackCtxRETAIL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AttackCtx(ctx, bf, db, AttackOptions{}); err != nil {
+		if _, err := AttackTableCtx(ctx, bf, db.Table(), AttackOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

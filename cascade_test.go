@@ -38,7 +38,7 @@ func TestAttackCtxDegradesToOEstimate(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	rep, err := AttackCtx(ctx, ExactKnowledge(db), db, AttackOptions{
+	rep, err := AttackTableCtx(ctx, ExactKnowledge(db), db.Table(), AttackOptions{
 		Exact: true,
 		Rng:   rand.New(rand.NewSource(1)),
 	})
@@ -74,7 +74,7 @@ func TestAttackCtxDegradesToSampled(t *testing.T) {
 	// sampler below needs ~(5+20·2)·22 ≈ 1k ops per run.
 	ctx := budget.WithMaxOps(context.Background(), 200_000)
 
-	rep, err := AttackCtx(ctx, ExactKnowledge(db), db, AttackOptions{
+	rep, err := AttackTableCtx(ctx, ExactKnowledge(db), db.Table(), AttackOptions{
 		Exact: true,
 		Sampler: SamplerConfig{
 			Runs: 2, Samples: 20, SeedSweeps: 5, SampleGap: 2,
@@ -104,7 +104,7 @@ func TestAttackCtxDegradesToSampled(t *testing.T) {
 // wins and nothing is marked degraded.
 func TestAttackCtxExactWithinBudget(t *testing.T) {
 	db := bigMartDB(t) // 6 items: exact is instant
-	rep, err := AttackCtx(context.Background(), ExactKnowledge(db), db, AttackOptions{Exact: true})
+	rep, err := AttackTableCtx(context.Background(), ExactKnowledge(db), db.Table(), AttackOptions{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestAttackCtxCanceled(t *testing.T) {
 	db := singleGroupDB(t, 22)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AttackCtx(ctx, ExactKnowledge(db), db, AttackOptions{Exact: true})
+	_, err := AttackTableCtx(ctx, ExactKnowledge(db), db.Table(), AttackOptions{Exact: true})
 	if !errors.Is(err, budget.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -174,7 +174,7 @@ func TestAssessRiskCtxDegrades(t *testing.T) {
 	// One op: the search-level budget (CheckEvery 1) dies on its first
 	// charge; the cheap O(n) stages never accumulate enough to poll.
 	ctx := budget.WithMaxOps(context.Background(), 1)
-	res, err := AssessRiskCtx(ctx, db, 0.1, rand.New(rand.NewSource(3)))
+	res, err := AssessRiskCtx(ctx, db, AssessOptions{Tolerance: 0.1, Propagate: true, Rng: rand.New(rand.NewSource(3))})
 	if err != nil {
 		t.Fatalf("assess must degrade, not fail: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestAssessRiskCtxDegrades(t *testing.T) {
 		t.Error("degraded lower bound 0 must not disclose")
 	}
 	// Sanity: without the limit the same search completes undegraded.
-	full, err := AssessRisk(db, 0.1, rand.New(rand.NewSource(3)))
+	full, err := AssessRiskCtx(context.Background(), db, AssessOptions{Tolerance: 0.1, Propagate: true, Rng: rand.New(rand.NewSource(3))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,11 @@
 #   ./ci.sh -short   same, with -short tests plus brief fuzz runs of the
 #                    two parser fuzzers (against their committed corpora),
 #                    the counts-diff fuzzer, the two differential
-#                    fuzzers of riskd's request decoding and the fuzzer of
-#                    riskd's RSNP1 cache snapshot loader
+#                    fuzzers of riskd's request decoding, the fuzzer of
+#                    riskd's RSNP1 cache snapshot loader, the registry's
+#                    RREG1 manifest decoder fuzzer (FuzzManifest) and the
+#                    fuzzer of riskclient's SSE event reader
+#                    (FuzzSubscriptionEvents)
 #   ./ci.sh -bench   additionally run the parallel-engine benchmarks at
 #                    GOMAXPROCS=1 and GOMAXPROCS=nproc plus the kernel
 #                    microbenchmarks (bitset O-estimate scan vs the boolean
@@ -129,6 +132,8 @@ if [ -n "$short" ]; then
 	go test -run '^$' -fuzz '^FuzzAssessRequest$' -fuzztime 5s ./internal/server/
 	go test -run '^$' -fuzz '^FuzzDeltaRequest$' -fuzztime 5s ./internal/server/
 	go test -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime 5s ./internal/server/
+	go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 5s ./internal/registry/
+	go test -run '^$' -fuzz '^FuzzSubscriptionEvents$' -fuzztime 5s ./internal/riskclient/
 fi
 
 if [ -n "$lint" ]; then

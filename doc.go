@@ -15,9 +15,10 @@
 //
 // The package front door covers the full workflow:
 //
-//	db, _ := anonrisk.ReadFIMI(file)                    // or build/generate one
-//	release, key, _ := anonrisk.Anonymize(db, rng)      // what the owner ships
-//	res, _ := anonrisk.AssessRisk(db, 0.1, rng)         // Figure 8's recipe
+//	db, _ := anonrisk.ReadFIMI(file)               // or build/generate one
+//	release, key, _ := anonrisk.Anonymize(db, rng) // what the owner ships
+//	res, _ := anonrisk.AssessRiskCtx(ctx, db,      // Figure 8's recipe
+//		anonrisk.AssessOptions{Tolerance: 0.1, Propagate: true, Rng: rng})
 //	if res.Disclose { ... }
 //
 // Fine-grained control — belief-function construction, exact closed forms

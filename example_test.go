@@ -1,6 +1,7 @@
 package anonrisk_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -31,11 +32,10 @@ func ExampleExpectedCracksIgnorant() {
 	// omniscient hacker: 3 expected cracks (one per frequency group)
 }
 
-// Attack quantifies a concrete hacker against a release.
-func ExampleAttack() {
+// AttackTableCtx quantifies a concrete hacker against a release.
+func ExampleAttackTableCtx() {
 	db := bigMart()
-	rng := rand.New(rand.NewSource(1))
-	rep, err := anonrisk.Attack(anonrisk.ExactKnowledge(db), db, false, rng)
+	rep, err := anonrisk.AttackTableCtx(context.Background(), anonrisk.ExactKnowledge(db), db.Table(), anonrisk.AttackOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -45,8 +45,8 @@ func ExampleAttack() {
 	// expected cracks 3 of 6 items; 2 identified with certainty
 }
 
-// AssessRisk runs the paper's Figure 8 recipe end to end.
-func ExampleAssessRisk() {
+// AssessRiskCtx runs the paper's Figure 8 recipe end to end.
+func ExampleAssessRiskCtx() {
 	// A flat release: every item equally frequent, one frequency group.
 	var txs []anonrisk.Transaction
 	for i := 0; i < 10; i++ {
@@ -56,7 +56,11 @@ func ExampleAssessRisk() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := anonrisk.AssessRisk(db, 0.25, rand.New(rand.NewSource(1)))
+	res, err := anonrisk.AssessRiskCtx(context.Background(), db, anonrisk.AssessOptions{
+		Tolerance: 0.25,
+		Propagate: true,
+		Rng:       rand.New(rand.NewSource(1)),
+	})
 	if err != nil {
 		panic(err)
 	}

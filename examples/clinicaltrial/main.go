@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -23,6 +24,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 
 	// The trial: 350 medical codes over 20,000 visit records, with realistic
@@ -40,7 +42,7 @@ func main() {
 
 	// Step 1 — the recipe: how much correct guessing can the sponsor absorb
 	// before the analytics firm's hypothetical leak crosses τ = 0.05?
-	res, err := anonrisk.AssessRisk(db, 0.05, rng)
+	res, err := anonrisk.AssessRiskCtx(ctx, db, anonrisk.AssessOptions{Tolerance: 0.05, Propagate: true, Rng: rng})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func main() {
 		log.Fatal(err)
 	}
 	bf := anonrisk.BeliefFromSample(leak)
-	rep, err := anonrisk.Attack(bf, db, true, rng)
+	rep, err := anonrisk.AttackTableCtx(ctx, bf, db.Table(), anonrisk.AttackOptions{Simulate: true, Rng: rng})
 	if err != nil {
 		log.Fatal(err)
 	}

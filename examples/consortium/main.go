@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 
 	// Three regions sell from one product catalogue (200 products) to one
@@ -84,7 +86,7 @@ func main() {
 		len(poolSets), missed, len(r0Sets)-(len(poolSets)-missed))
 
 	// Owner side: the recipe on the pooled release.
-	res, err := anonrisk.AssessRisk(pool, 0.1, rng)
+	res, err := anonrisk.AssessRiskCtx(ctx, pool, anonrisk.AssessOptions{Tolerance: 0.1, Propagate: true, Rng: rng})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func main() {
 		st := db.Table()
 		bf := anonrisk.BeliefFromSample(db)
 		alpha := bf.Alpha(poolFreqs)
-		rep, err := anonrisk.Attack(bf, pool, false, rng)
+		rep, err := anonrisk.AttackTableCtx(ctx, bf, pool.Table(), anonrisk.AttackOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -115,7 +117,7 @@ func main() {
 	}
 
 	fmt.Println("\nthe partners' own data makes them far more dangerous than an outsider:")
-	out, err := anonrisk.Attack(anonrisk.Ignorant(items), pool, false, rng)
+	out, err := anonrisk.AttackTableCtx(ctx, anonrisk.Ignorant(items), pool.Table(), anonrisk.AttackOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

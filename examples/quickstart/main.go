@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 
 	// A correlated market-basket database: 60 products, 4000 baskets.
@@ -43,7 +45,7 @@ func main() {
 		{"ballpark (±δ_med around every true frequency)", anonrisk.BallparkKnowledge(db, 0)},
 		{"omniscient (every frequency exactly)", anonrisk.ExactKnowledge(db)},
 	} {
-		rep, err := anonrisk.Attack(h.bf, db, false, rng)
+		rep, err := anonrisk.AttackTableCtx(ctx, h.bf, db.Table(), anonrisk.AttackOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +54,7 @@ func main() {
 	}
 
 	// The owner's decision at a 10% crack tolerance.
-	res, err := anonrisk.AssessRisk(db, 0.10, rng)
+	res, err := anonrisk.AssessRiskCtx(ctx, db, anonrisk.AssessOptions{Tolerance: 0.10, Propagate: true, Rng: rng})
 	if err != nil {
 		log.Fatal(err)
 	}

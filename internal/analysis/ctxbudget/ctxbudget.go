@@ -4,7 +4,8 @@
 // Three rules, selected by the package's role:
 //
 // Provider packages (the compute kernels: bipartite, matching, core,
-// recipe, relation, itemsetrisk):
+// recipe, relation, itemsetrisk; and the root package repro, the anonrisk
+// facade that fronts them):
 //
 //  1. An exported function or method whose body contains a loop nest of
 //     depth ≥ 2 — the mechanical signature of "iterates over the dataset or
@@ -12,7 +13,8 @@
 //  2. context.Background()/context.TODO() may not originate inside a
 //     provider: a kernel that invents its own context cannot be canceled
 //     by its caller. This also rules out context-free wrappers
-//     `func F(...)` forwarding to `FCtx(context.Background(), ...)`.
+//     `func F(...)` forwarding to `FCtx(context.Background(), ...)`, so
+//     each facade and kernel entry point has one, context-taking form.
 //
 // Consumer packages (the serving layer: internal/server, cmd/riskd):
 //
@@ -46,6 +48,7 @@ const (
 // cmd/riskvet wires the real repo layout; tests substitute fixtures.
 var (
 	Providers = map[string]bool{
+		"repro":                      true,
 		"repro/internal/bipartite":   true,
 		"repro/internal/matching":    true,
 		"repro/internal/core":        true,

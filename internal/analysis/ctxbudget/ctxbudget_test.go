@@ -30,6 +30,9 @@ func TestRoleOf(t *testing.T) {
 	if RoleOf("repro/internal/bipartite") != RoleProvider {
 		t.Errorf("bipartite should be a provider")
 	}
+	if RoleOf("repro") != RoleProvider {
+		t.Errorf("the anonrisk facade should be a provider")
+	}
 	if RoleOf("repro/internal/server") != RoleConsumer {
 		t.Errorf("server should be a consumer")
 	}

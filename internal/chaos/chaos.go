@@ -43,6 +43,13 @@ import (
 const DefaultSchedule = "compute:every=4:latency=2ms; compute:nth=5:err; " +
 	"cache.store:nth=2:err; transport:every=6:err; snapshot:nth=1:partial=40"
 
+// A chaos run fires faultRequests requests through the fault phase, and
+// its drain phase must answer drainRequests concurrent in-flight requests.
+const (
+	faultRequests = 24
+	drainRequests = 4
+)
+
 // Config parameterizes one chaos run.
 type Config struct {
 	// Seed drives the injector and the client's retry jitter. Two runs with
@@ -51,11 +58,6 @@ type Config struct {
 	// Schedule is the fault schedule (faultinject DSL). Empty means
 	// DefaultSchedule.
 	Schedule string
-	// Requests is the fault-phase request count. Zero means 24.
-	Requests int
-	// Drain is the number of concurrent in-flight requests the drain phase
-	// must answer. Zero means 4.
-	Drain int
 	// Dir is the scratch directory for snapshot files. Required (callers
 	// pass t.TempDir() or an os.MkdirTemp result they own).
 	Dir string
@@ -147,17 +149,11 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Schedule == "" {
 		cfg.Schedule = DefaultSchedule
 	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 24
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = 4
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	rep := &Report{Seed: cfg.Seed, Schedule: cfg.Schedule, Requests: cfg.Requests}
+	rep := &Report{Seed: cfg.Seed, Schedule: cfg.Schedule, Requests: faultRequests}
 
 	inj, err := faultinject.NewFromSchedule(cfg.Seed, cfg.Schedule)
 	if err != nil {
@@ -195,9 +191,9 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	runFaultPhase(cfg, rep, faulty)
+	runFaultPhase(rep, faulty)
 	runBreakerPhase(cfg, rep, h.addr)
-	runDrainPhase(cfg, rep, h, clean)
+	runDrainPhase(rep, h, clean)
 
 	// Post-drain: anchor one known digest in the cache (its second request
 	// must hit), snapshot, and scan the file for smuggled degraded entries.
@@ -241,9 +237,9 @@ func Run(cfg Config) (*Report, error) {
 
 // runFaultPhase fires the request mix through the faulty client and checks
 // per-response provenance invariants.
-func runFaultPhase(cfg Config, rep *Report, client *riskclient.Client) {
+func runFaultPhase(rep *Report, client *riskclient.Client) {
 	ctx := context.Background()
-	for i := 0; i < cfg.Requests; i++ {
+	for i := 0; i < faultRequests; i++ {
 		// Five distinct digests, revisited round-robin: repeats exercise
 		// the cache under fire.
 		resp, err := client.Assess(ctx, countsRequest(8+i%5))
@@ -356,15 +352,15 @@ func runBreakerPhase(cfg Config, rep *Report, addr string) {
 // runDrainPhase launches concurrent requests, begins a drain while they are
 // in flight, and checks that readiness flips, every request is answered,
 // and the drain completes.
-func runDrainPhase(cfg Config, rep *Report, h *harness, client *riskclient.Client) {
+func runDrainPhase(rep *Report, h *harness, client *riskclient.Client) {
 	ctx := context.Background()
 	type result struct {
 		resp *server.AssessResponse
 		err  error
 	}
 	baseline := h.srv.CompletedJobs()
-	results := make(chan result, cfg.Drain)
-	for i := 0; i < cfg.Drain; i++ {
+	results := make(chan result, drainRequests)
+	for i := 0; i < drainRequests; i++ {
 		go func(i int) {
 			// Distinct, deliberately larger datasets: the computations
 			// stay in flight long enough for the drain to overlap them.
@@ -380,7 +376,7 @@ func runDrainPhase(cfg Config, rep *Report, h *harness, client *riskclient.Clien
 	defer tick.Stop()
 	defer deadline.Stop()
 wait:
-	for h.srv.InflightJobs() == 0 && h.srv.CompletedJobs()-baseline < int64(cfg.Drain) {
+	for h.srv.InflightJobs() == 0 && h.srv.CompletedJobs()-baseline < drainRequests {
 		select {
 		case <-tick.C:
 		case <-deadline.C:
@@ -394,7 +390,7 @@ wait:
 		rep.violatef("drain phase: /readyz during drain returned %v, want HTTP 503", err)
 	}
 
-	for i := 0; i < cfg.Drain; i++ {
+	for i := 0; i < drainRequests; i++ {
 		r := <-results
 		if r.err != nil {
 			rep.violatef("drain phase: in-flight request lost to the drain: %v", r.err)

@@ -19,16 +19,11 @@ type OEOptions struct {
 	// infeasible for (very) non-compliant belief functions; the estimate then
 	// returns bipartite.ErrInfeasible.
 	Propagate bool
-	// Mask, when set (non-zero), restricts the summation to its members. The
-	// Assess-Risk recipe uses it to evaluate α-compliant belief functions
-	// without perturbing intervals: excluded items are treated as
-	// non-compliant and contribute nothing (Section 5.3).
-	Mask bitset.Set
 	// Interest, when set (non-zero), counts only its members in the estimate
 	// — the owner's "items of interest" of Lemmas 2 and 4 (e.g. only the
-	// frequent items, or the high-margin products). Unlike Mask, uninterest-
-	// ing items still participate in the graph and in propagation; they are
-	// merely not counted.
+	// frequent items, or the high-margin products). Uninteresting items still
+	// participate in the graph and in propagation; they are merely not
+	// counted.
 	Interest bitset.Set
 }
 
@@ -36,7 +31,7 @@ type OEOptions struct {
 type OEResult struct {
 	Value     float64    // OE(β, D) = Σ 1/O_x over crackable items
 	Outdeg    []int      // per-item outdegree used in the sum (post-propagation when enabled)
-	Crackable bitset.Set // items that contributed (compliant, unmasked, still reachable)
+	Crackable bitset.Set // items that can contribute (compliant, still reachable)
 	Forced    int        // propagation-forced edges (0 without propagation)
 	// ForcedCracks counts the crack-forced items among those counted in
 	// Value: certain cracks, so never more than Value (0 without propagation).
@@ -73,9 +68,6 @@ func checkMask(name string, m bitset.Set, n int) error {
 // degradation cascade — but the budget checks let a canceled context abort
 // even this path promptly on very large domains.
 func OEstimateCtx(ctx context.Context, bf *belief.Function, ft *dataset.FrequencyTable, opts OEOptions) (*OEResult, error) {
-	if err := checkMask("mask", opts.Mask, ft.NItems); err != nil {
-		return nil, err
-	}
 	g, err := bipartite.Build(bf, dataset.GroupItems(ft))
 	if err != nil {
 		return nil, err
@@ -87,21 +79,18 @@ func OEstimateCtx(ctx context.Context, bf *belief.Function, ft *dataset.Frequenc
 // This is the "second level" generalization the paper highlights in
 // Section 8.1: once a bipartite consistency graph is set up — by belief
 // functions over frequencies or by any other kind of partial information —
-// the estimate applies unchanged. It is GraphTermsCtx and a masked scan of
-// the terms back to back, under one budget: propagation's own charges plus
-// n when propagating, then one operation per item scanned, one 64-item word
-// at a time.
+// the estimate applies unchanged. It is GraphTermsCtx and a scan of the
+// terms back to back, under one budget: propagation's own charges plus n
+// when propagating, then one operation per item scanned, one 64-item word at
+// a time.
 //
 // The scan is a word-parallel kernel (DESIGN.md §16): the crackable words
-// are ANDed with the option masks and only surviving bits are visited — in
+// are ANDed with the interest mask and only surviving bits are visited — in
 // ascending item order via TrailingZeros64, so the float accumulation
 // order, and therefore every bit of Value, matches the historical
 // item-at-a-time loop (pinned by TestOEstimateBitsetMatchesReference).
 func OEstimateGraphCtx(ctx context.Context, g *bipartite.Graph, opts OEOptions) (*OEResult, error) {
 	n := g.Items()
-	if err := checkMask("mask", opts.Mask, n); err != nil {
-		return nil, err
-	}
 	if err := checkMask("interest mask", opts.Interest, n); err != nil {
 		return nil, err
 	}
@@ -113,7 +102,7 @@ func OEstimateGraphCtx(ctx context.Context, g *bipartite.Graph, opts OEOptions) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := t.estimate(bud, opts)
+	res, err := t.estimate(bud, opts.Interest)
 	if err != nil {
 		return nil, fmt.Errorf("core: O-estimate: %w", err)
 	}
@@ -213,8 +202,11 @@ func propagatedTerms(comp bitset.Set, p *bipartite.Propagation) *OETerms {
 
 // SumCtx is the per-mask half of the O-estimate: the terms summed over
 // Crackable ∩ mask in ascending item order, one operation charged per item.
-// A zero mask counts every crackable item. It only reads t, so concurrent
-// sums over one OETerms are safe; the α search runs one per (level, run).
+// A zero mask counts every crackable item. The Assess-Risk recipe evaluates
+// α-compliant belief functions this way, without perturbing intervals:
+// masked-out items are treated as non-compliant and contribute nothing
+// (Section 5.3). It only reads t, so concurrent sums over one OETerms are
+// safe; the α search runs one per (level, run).
 func (t *OETerms) SumCtx(ctx context.Context, mask bitset.Set) (float64, error) {
 	n := len(t.Terms)
 	if err := checkMask("mask", mask, n); err != nil {
@@ -224,31 +216,27 @@ func (t *OETerms) SumCtx(ctx context.Context, mask bitset.Set) (float64, error) 
 	if err := bud.Check(); err != nil {
 		return 0, err
 	}
-	v, err := oeScanWords(bud, n, t.Crackable.Words(), mask.Words(), nil, nil, t.Terms)
+	v, err := oeScanWords(bud, n, t.Crackable.Words(), mask.Words(), nil, t.Terms)
 	if err != nil {
 		return 0, fmt.Errorf("core: O-estimate: %w", err)
 	}
 	return v, nil
 }
 
-// estimate sums the terms under the option masks into a full result; the
-// caller has validated the masks against the domain.
-func (t *OETerms) estimate(bud *budget.Budget, opts OEOptions) (*OEResult, error) {
+// estimate sums the terms over the interest mask into a full result; the
+// caller has validated the mask against the domain.
+func (t *OETerms) estimate(bud *budget.Budget, interest bitset.Set) (*OEResult, error) {
 	n := len(t.Terms)
 	res := &OEResult{Outdeg: t.Outdeg, Crackable: bitset.New(n), Forced: t.Forced, Rounds: t.Rounds}
-	v, err := oeScanWords(bud, n, t.Crackable.Words(), opts.Mask.Words(), opts.Interest.Words(),
-		res.Crackable.Words(), t.Terms)
+	intW := interest.Words()
+	v, err := oeScanWords(bud, n, t.Crackable.Words(), intW, res.Crackable.Words(), t.Terms)
 	if err != nil {
 		return nil, err
 	}
 	res.Value = v
-	// Crack-forced items are crackable, so the scan counted every one that
-	// survives both masks.
-	maskW, intW := opts.Mask.Words(), opts.Interest.Words()
+	// Crack-forced items are crackable, so the scan counted every one of
+	// interest.
 	for k, w := range t.crackForced.Words() {
-		if maskW != nil {
-			w &= maskW[k]
-		}
 		if intW != nil {
 			w &= intW[k]
 		}
@@ -257,14 +245,14 @@ func (t *OETerms) estimate(bud *budget.Budget, opts OEOptions) (*OEResult, error
 	return res, nil
 }
 
-// oeScanWords is the one O-estimate scan kernel: for every 64-item word,
-// crackable & mask is the word's crackable output, and the terms of its
-// counted (crackable & mask & interest) bits are summed in ascending item
-// order. nil maskW or intW means no restriction, and a nil crack skips the
-// output. crackable must have its tail bits clear, which bounds every
-// derived word by the domain. One operation per item is charged, 64 at a
-// time, keeping op totals comparable to the per-item loop.
-func oeScanWords(bud *budget.Budget, n int, crackable, maskW, intW, crack []uint64, terms []float64) (float64, error) {
+// oeScanWords is the one O-estimate scan kernel: for every 64-item word, the
+// crackable word is copied to the crack output, and the terms of its
+// counted (crackable & countW) bits are summed in ascending item order. nil
+// countW means no restriction, and a nil crack skips the output. crackable
+// must have its tail bits clear, which bounds every derived word by the
+// domain. One operation per item is charged, 64 at a time, keeping op
+// totals comparable to the per-item loop.
+func oeScanWords(bud *budget.Budget, n int, crackable, countW, crack []uint64, terms []float64) (float64, error) {
 	value := 0.0
 	for k, w := range crackable {
 		width := int64(n - k<<6)
@@ -274,14 +262,11 @@ func oeScanWords(bud *budget.Budget, n int, crackable, maskW, intW, crack []uint
 		if err := bud.Charge(width); err != nil {
 			return 0, err
 		}
-		if maskW != nil {
-			w &= maskW[k]
-		}
 		if crack != nil {
 			crack[k] = w
 		}
-		if intW != nil {
-			w &= intW[k]
+		if countW != nil {
+			w &= countW[k]
 		}
 		base := k << 6
 		for w != 0 {

@@ -51,7 +51,7 @@ func BenchmarkOEstimateScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v, err := oeScanWords(bud, n, comp, mask.Words(), nil, crack.Words(), inv)
+			v, err := oeScanWords(bud, n, comp, mask.Words(), crack.Words(), inv)
 			if err != nil {
 				b.Fatal(err)
 			}

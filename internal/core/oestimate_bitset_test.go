@@ -140,13 +140,10 @@ func TestOEstimateBitsetMatchesReference(t *testing.T) {
 		}
 		for _, propagate := range []bool{false, true} {
 			opts := OEOptions{Propagate: propagate}
-			if mask != nil {
-				opts.Mask = bitset.FromBools(mask)
-			}
 			if interest != nil {
 				opts.Interest = bitset.FromBools(interest)
 			}
-			wantV, wantC, refErr := referenceOEstimate(g, propagate, mask, interest)
+			wantV, wantC, refErr := referenceOEstimate(g, propagate, nil, interest)
 			got, gotErr := OEstimateGraphCtx(context.Background(), g, opts)
 			if (refErr == nil) != (gotErr == nil) {
 				t.Fatalf("trial %d (prop=%v): error mismatch: ref %v, bitset %v", trial, propagate, refErr, gotErr)
@@ -160,6 +157,27 @@ func TestOEstimateBitsetMatchesReference(t *testing.T) {
 			}
 			if !got.Crackable.Equal(bitset.FromBools(wantC)) {
 				t.Fatalf("trial %d (prop=%v): crackable sets differ", trial, propagate)
+			}
+			if mask == nil {
+				continue
+			}
+			// The α search's masked sum: the same terms over crackable ∩
+			// mask (∩ interest), bit-identical to the masked reference.
+			terms, err := GraphTermsCtx(context.Background(), g, propagate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted := make([]bool, n)
+			for x := range counted {
+				counted[x] = mask[x] && (interest == nil || interest[x])
+			}
+			sum, err := terms.SumCtx(context.Background(), bitset.FromBools(counted))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantM, _, _ := referenceOEstimate(g, propagate, mask, interest); sum != wantM {
+				t.Fatalf("trial %d (prop=%v): masked sum = %v, reference = %v (must be bit-identical)",
+					trial, propagate, sum, wantM)
 			}
 		}
 	}
@@ -192,7 +210,7 @@ func TestOEstimateScanZeroAllocs(t *testing.T) {
 	inv := g.OutdegreeReciprocals()
 	bud := budget.New(context.Background(), budget.Config{CheckEvery: 4096})
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := oeScanWords(bud, n, comp, mask.Words(), nil, crack.Words(), inv); err != nil {
+		if _, err := oeScanWords(bud, n, comp, mask.Words(), crack.Words(), inv); err != nil {
 			t.Fatal(err)
 		}
 	})

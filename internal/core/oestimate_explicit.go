@@ -22,9 +22,6 @@ import (
 // indegrees) are sourced differently.
 func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOptions) (*OEResult, error) {
 	n := e.N
-	if err := checkMask("mask", opts.Mask, n); err != nil {
-		return nil, err
-	}
 	if err := checkMask("interest mask", opts.Interest, n); err != nil {
 		return nil, err
 	}
@@ -58,7 +55,7 @@ func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOpt
 	} else {
 		// Reciprocals of the freshly scanned indegrees, restricted to the
 		// diagonal (diag implies indeg >= 1): the same divisions the per-item
-		// loop performed, hoisted out of the masked scan.
+		// loop performed, hoisted out of the scan.
 		t = &OETerms{Crackable: diag, Terms: make([]float64, n), Outdeg: indeg}
 		for k, w := range diagW {
 			if err := bud.Check(); err != nil {
@@ -71,7 +68,7 @@ func OEstimateExplicitCtx(ctx context.Context, e *bipartite.Explicit, opts OEOpt
 			}
 		}
 	}
-	res, err := t.estimate(bud, opts)
+	res, err := t.estimate(bud, opts.Interest)
 	if err != nil {
 		return nil, fmt.Errorf("core: explicit O-estimate: %w", err)
 	}

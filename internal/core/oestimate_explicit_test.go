@@ -14,7 +14,7 @@ import (
 
 func TestOEstimateExplicitMatchesCompact(t *testing.T) {
 	// On interval-structured graphs the explicit-graph estimate must agree
-	// with the compact one, with and without propagation, masks and interest.
+	// with the compact one, with and without propagation and interest.
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(10)
@@ -30,13 +30,7 @@ func TestOEstimateExplicitMatchesCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := g.ToExplicit()
-		var mask, interest []bool
-		if rng.Intn(2) == 0 {
-			mask = make([]bool, n)
-			for i := range mask {
-				mask[i] = rng.Intn(2) == 0
-			}
-		}
+		var interest []bool
 		if rng.Intn(2) == 0 {
 			interest = make([]bool, n)
 			for i := range interest {
@@ -45,9 +39,6 @@ func TestOEstimateExplicitMatchesCompact(t *testing.T) {
 		}
 		for _, propagate := range []bool{false, true} {
 			opts := OEOptions{Propagate: propagate}
-			if mask != nil {
-				opts.Mask = bitset.FromBools(mask)
-			}
 			if interest != nil {
 				opts.Interest = bitset.FromBools(interest)
 			}
@@ -87,9 +78,6 @@ func TestOEstimateExplicitFigure6b(t *testing.T) {
 
 func TestOEstimateExplicitValidation(t *testing.T) {
 	e := bipartite.Complete(3)
-	if _, err := OEstimateExplicitCtx(context.Background(), e, OEOptions{Mask: bitset.New(1)}); err == nil {
-		t.Error("short mask: want error")
-	}
 	if _, err := OEstimateExplicitCtx(context.Background(), e, OEOptions{Interest: bitset.New(1)}); err == nil {
 		t.Error("short interest: want error")
 	}

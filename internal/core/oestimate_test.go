@@ -142,45 +142,56 @@ func TestOEstimateMaskMonotonicityLemma10(t *testing.T) {
 		}
 		ft := mustTable(t, m, counts)
 		bf := belief.RandomCompliant(ft.Frequencies(), 0.15, rng)
+		terms := graphTermsOf(t, bf, ft)
 		mask := make([]bool, n)
 		for i := range mask {
 			mask[i] = true
 		}
 		prev := math.Inf(1)
 		for level := 0; level < 4; level++ {
-			res, err := OEstimateCtx(context.Background(), bf, ft, OEOptions{Mask: bitset.FromBools(mask)})
+			v, err := terms.SumCtx(context.Background(), bitset.FromBools(mask))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Value > prev+1e-9 {
+			if v > prev+1e-9 {
 				t.Fatalf("trial %d level %d: OE grew from %v to %v as compliant set shrank",
-					trial, level, prev, res.Value)
+					trial, level, prev, v)
 			}
-			prev = res.Value
+			prev = v
 			mask = belief.ShrinkCompliantSet(mask, rng)
 		}
 	}
 }
 
 func TestOEstimateMaskExcludesItems(t *testing.T) {
-	ft := bigMartTable(t)
+	terms := graphTermsOf(t, beliefH(), bigMartTable(t))
 	mask := []bool{true, false, true, false, true, false}
-	res, err := OEstimateCtx(context.Background(), beliefH(), ft, OEOptions{Mask: bitset.FromBools(mask)})
+	v, err := terms.SumCtx(context.Background(), bitset.FromBools(mask))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 1.0/6 + 1.0/4 + 1.0/2 // items 0, 2, 4
-	if math.Abs(res.Value-want) > 1e-12 {
-		t.Errorf("masked OE = %v, want %v", res.Value, want)
+	if math.Abs(v-want) > 1e-12 {
+		t.Errorf("masked OE = %v, want %v", v, want)
 	}
-	for x := range mask {
-		if got := res.Crackable.Contains(x); got != mask[x] {
-			t.Errorf("Crackable(%d) = %v, want %v", x, got, mask[x])
-		}
-	}
-	if _, err := OEstimateCtx(context.Background(), beliefH(), ft, OEOptions{Mask: bitset.New(1)}); err == nil {
+	if _, err := terms.SumCtx(context.Background(), bitset.New(1)); err == nil {
 		t.Error("short mask: want error")
 	}
+}
+
+// graphTermsOf builds bf's consistency graph over ft and returns its
+// unpropagated O-estimate terms, which SumCtx sums under a mask.
+func graphTermsOf(t *testing.T, bf *belief.Function, ft *dataset.FrequencyTable) *OETerms {
+	t.Helper()
+	g, err := bipartite.Build(bf, dataset.GroupItems(ft))
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms, err := GraphTermsCtx(context.Background(), g, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return terms
 }
 
 func TestOEstimateNonCompliantContributesZero(t *testing.T) {

@@ -2,7 +2,6 @@ package datagen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -12,17 +11,15 @@ import (
 // QuestConfig parameterizes a correlated transaction generator in the spirit
 // of the IBM QUEST synthetic data generator used throughout the frequent-set
 // mining literature: transactions are unions of a few "potentially large"
-// itemsets drawn from a Zipf-weighted pool, plus uniform noise. Unlike the
+// itemsets drawn from a Zipf-weighted pool (popularity 1/rank). Unlike the
 // planted-count generators, QUEST data contains genuine multi-item patterns,
 // which the mining examples (and the fim package benchmarks) need.
 type QuestConfig struct {
-	Items           int     // domain size n
-	Transactions    int     // number of transactions to generate
-	Patterns        int     // size of the pattern pool (default 20)
-	MeanPatternLen  int     // average pattern length (default 4)
-	PatternsPerTx   int     // average patterns unioned per transaction (default 2)
-	NoiseItemsPerTx int     // average uniform noise items per transaction (default 1)
-	Zipf            float64 // pattern popularity skew (default 1.0)
+	Items          int // domain size n
+	Transactions   int // number of transactions to generate
+	Patterns       int // size of the pattern pool (default 20)
+	MeanPatternLen int // average pattern length (default 4)
+	PatternsPerTx  int // average patterns unioned per transaction (default 2)
 }
 
 func (c QuestConfig) withDefaults() QuestConfig {
@@ -34,12 +31,6 @@ func (c QuestConfig) withDefaults() QuestConfig {
 	}
 	if c.PatternsPerTx <= 0 {
 		c.PatternsPerTx = 2
-	}
-	if c.NoiseItemsPerTx < 0 {
-		c.NoiseItemsPerTx = 1
-	}
-	if c.Zipf <= 0 {
-		c.Zipf = 1.0
 	}
 	return c
 }
@@ -74,7 +65,7 @@ func Quest(cfg QuestConfig, rng *rand.Rand) (*dataset.Database, error) {
 	weights := make([]float64, cfg.Patterns)
 	total := 0.0
 	for i := range weights {
-		weights[i] = 1 / math.Pow(float64(i+1), cfg.Zipf)
+		weights[i] = 1 / float64(i+1)
 		total += weights[i]
 	}
 	pick := func() int {
@@ -95,11 +86,6 @@ func Quest(cfg QuestConfig, rng *rand.Rand) (*dataset.Database, error) {
 		for p := 0; p < k; p++ {
 			for _, x := range patterns[pick()] {
 				items[x] = true
-			}
-		}
-		for nz := 0; nz < cfg.NoiseItemsPerTx; nz++ {
-			if rng.Float64() < 0.5 {
-				items[dataset.Item(rng.Intn(cfg.Items))] = true
 			}
 		}
 		if len(items) == 0 {

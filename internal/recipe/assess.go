@@ -29,9 +29,6 @@ type Options struct {
 	// Runs is the number of random compliant subsets averaged per α level
 	// (Section 6.2; the paper uses 5). Default 5.
 	Runs int
-	// AlphaPrecision is the width at which the binary search on α stops.
-	// Default 1/64.
-	AlphaPrecision float64
 	// Propagate applies degree-1 propagation inside the O-estimates.
 	Propagate bool
 	// AlphaComfort is the α_max level at or above which the final verdict is
@@ -43,6 +40,10 @@ type Options struct {
 	Rng *rand.Rand
 }
 
+// alphaPrecision is the width at which the recipe's binary search on α
+// stops.
+const alphaPrecision = 1.0 / 64
+
 func (o Options) withDefaults() (Options, error) {
 	if !(o.Tolerance > 0 && o.Tolerance < 1) {
 		return o, fmt.Errorf("recipe: tolerance %v outside (0,1)", o.Tolerance)
@@ -52,9 +53,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Runs <= 0 {
 		o.Runs = 5
-	}
-	if o.AlphaPrecision <= 0 {
-		o.AlphaPrecision = 1.0 / 64
 	}
 	if o.AlphaComfort <= 0 {
 		o.AlphaComfort = 0.5
@@ -196,7 +194,7 @@ func AssessRiskCtx(ctx context.Context, ft *dataset.FrequencyTable, opts Options
 	// (Section 6.2).
 	s := &AlphaSearch{n: n, orders: uniformOrders(n, opts.Runs, opts.Rng), terms: fixedTerms(terms)}
 	res.Stage = StageAlphaSearch
-	res.AlphaMax, err = s.MaxAlphaWithinCtx(ctx, crackBudget, opts.AlphaPrecision)
+	res.AlphaMax, err = s.MaxAlphaWithinCtx(ctx, crackBudget, alphaPrecision)
 	if budget.Degradable(err) {
 		res.Degraded = true
 		res.DegradedReason = err.Error()

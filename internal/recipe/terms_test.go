@@ -41,10 +41,11 @@ func profileGraph(t testing.TB, plan datagen.GroupPlan) (*dataset.FrequencyTable
 }
 
 // perProbeOEAt is the oracle: the α level as the search evaluated it before
-// the terms were shared — one propagated O-estimate of the whole graph per
-// run under the run's mask, averaged in run order.
+// the terms were shared — the whole graph propagated afresh per run and its
+// terms summed under the run's mask, averaged in run order.
 func perProbeOEAt(t *testing.T, g *bipartite.Graph, orders [][]int, alpha float64) float64 {
 	t.Helper()
+	ctx := context.Background()
 	n := g.Items()
 	total := 0.0
 	for _, order := range orders {
@@ -52,11 +53,15 @@ func perProbeOEAt(t *testing.T, g *bipartite.Graph, orders [][]int, alpha float6
 		for _, x := range order[:int(alpha*float64(n)+0.5)] {
 			mask.Add(x)
 		}
-		oe, err := core.OEstimateGraphCtx(context.Background(), g, core.OEOptions{Mask: mask, Propagate: true})
+		terms, err := core.GraphTermsCtx(ctx, g, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += oe.Value
+		v, err := terms.SumCtx(ctx, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += v
 	}
 	return total / float64(len(orders))
 }

@@ -18,6 +18,7 @@ package riskcache
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,8 +40,9 @@ var ErrSkipEntry = errors.New("riskcache: skip snapshot entry")
 // truncated magic). Loaders treat it as "no snapshot", not as fatal.
 var ErrBadSnapshot = errors.New("riskcache: not a snapshot file")
 
-// Entry limits: a corrupt length prefix must not make the loader allocate
-// gigabytes before the checksum can catch it.
+// Entry limits: a corrupt length prefix must not make the loader read
+// gigabytes before the checksum can catch it. Within them, the loader
+// allocates what the file holds, not what the prefix claims (readBytes).
 const (
 	maxSnapKeyLen = 1 << 20  // 1 MiB
 	maxSnapValLen = 64 << 20 // 64 MiB
@@ -140,8 +142,8 @@ func (c *Cache[V]) ReadSnapshot(r io.Reader, decode func([]byte) (V, bool, error
 		if keyLen > maxSnapKeyLen {
 			return loaded, skipped + 1, nil // corrupt length: cannot resync
 		}
-		key := make([]byte, keyLen)
-		if _, err := io.ReadFull(br, key); err != nil {
+		key, err := readBytes(br, keyLen)
+		if err != nil {
 			return loaded, skipped + 1, readErrOrNil(err)
 		}
 		if _, err := io.ReadFull(br, lens[4:8]); err != nil {
@@ -151,8 +153,8 @@ func (c *Cache[V]) ReadSnapshot(r io.Reader, decode func([]byte) (V, bool, error
 		if valLen > maxSnapValLen {
 			return loaded, skipped + 1, nil
 		}
-		val := make([]byte, valLen)
-		if _, err := io.ReadFull(br, val); err != nil {
+		val, err := readBytes(br, valLen)
+		if err != nil {
 			return loaded, skipped + 1, readErrOrNil(err)
 		}
 		var sum [4]byte
@@ -185,6 +187,18 @@ func (c *Cache[V]) ReadSnapshot(r io.Reader, decode func([]byte) (V, bool, error
 			loaded++
 		}
 	}
+}
+
+// readBytes reads exactly n bytes from r into a buffer that grows as they
+// arrive, so a torn entry whose prefix claims 64 MiB costs the bytes the
+// stream actually held. A short stream returns io.EOF, which the loader
+// counts as a torn tail.
+func readBytes(r io.Reader, n uint32) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // readErrOrNil maps a torn read (unexpected EOF) to nil — the caller

@@ -3,11 +3,13 @@ package riskcache
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -128,6 +130,31 @@ func TestSnapshotTornTail(t *testing.T) {
 	}
 	if loaded != 4 || skipped != 1 {
 		t.Errorf("loaded=%d skipped=%d, want 4 loaded and the torn tail skipped", loaded, skipped)
+	}
+}
+
+// TestSnapshotTornClaimAllocatesWhatArrives: a 17-byte file whose one
+// entry claims a 64 MiB value (the largest plausible length) is a torn
+// tail, and loading it allocates about what the file holds, not the claim.
+func TestSnapshotTornClaimAllocatesWhatArrives(t *testing.T) {
+	raw := append([]byte(nil), snapMagic...)
+	raw = binary.LittleEndian.AppendUint32(raw, 1)
+	raw = append(raw, 'k')
+	raw = binary.LittleEndian.AppendUint32(raw, maxSnapValLen)
+	raw = append(raw, "vv"...)
+	if len(raw) != 17 {
+		t.Fatalf("fixture is %d bytes, want 17", len(raw))
+	}
+	dst := New[string](0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	loaded, skipped, err := dst.ReadSnapshot(bytes.NewReader(raw), strDecode)
+	runtime.ReadMemStats(&after)
+	if err != nil || loaded != 0 || skipped != 1 {
+		t.Fatalf("loaded=%d skipped=%d err=%v, want the torn entry skipped", loaded, skipped, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("loading a 17-byte snapshot allocated %.1f MiB, want under 1 MiB", float64(alloc)/(1<<20))
 	}
 }
 
