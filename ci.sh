@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repo's continuous-integration gate, runnable locally.
 #
-#   ./ci.sh          vet + gofmt + riskvet + build + race-enabled tests
+#   ./ci.sh          vet + gofmt + riskvet + build + race-enabled tests,
+#                    plus vet and tests of the riskdbench module
 #   ./ci.sh -short   same, with -short tests plus brief fuzz runs of the
 #                    two parser fuzzers (against their committed corpora),
 #                    the counts-diff fuzzer, the two differential
@@ -123,6 +124,13 @@ go build ./...
 
 echo "== go test -race =="
 go test -race $short ./...
+
+# riskdbench is its own module (replace repro => ../), so ./... above never
+# compiles it; vetting and testing it here catches a break in the server,
+# recipe or matching API it calls before the benchmark does.
+echo "== riskdbench vet + test =="
+go -C riskdbench vet ./...
+go -C riskdbench test ./...
 
 if [ -n "$short" ]; then
 	echo "== fuzz (committed corpora, 5s each) =="

@@ -1,10 +1,10 @@
 // Command fsmine mines frequent itemsets from a FIMI-format transaction
-// database — the data-mining task the paper's disclosure scenarios revolve
-// around. Both miners produce identical results; -algo switches between them.
+// database with FP-Growth — the data-mining task the paper's disclosure
+// scenarios revolve around.
 //
 // Usage:
 //
-//	fsmine [-minsup 0.1] [-algo apriori|fpgrowth] [-top n] [-timeout 30s] [file]
+//	fsmine [-minsup 0.1] [-top n] [-rules conf] [-timeout 30s] [file]
 //
 // Exit status: 0 ok, 4 when the -timeout budget runs out mid-mine, 1 for
 // other errors.
@@ -25,7 +25,6 @@ import (
 
 func main() {
 	minsup := flag.Float64("minsup", 0.1, "minimum support as a fraction of transactions")
-	algo := flag.String("algo", "fpgrowth", "mining algorithm: apriori, fpgrowth or eclat")
 	top := flag.Int("top", 0, "print only the n most frequent itemsets (0 = all)")
 	minconf := flag.Float64("rules", 0, "also derive association rules with at least this confidence (0 = off)")
 	budgetCtx := cliutil.BudgetFlags()
@@ -51,21 +50,12 @@ func main() {
 		fatal(err)
 	}
 
-	// The miners are not context-aware; budget.Run bounds them from outside,
+	// The miner is not context-aware; budget.Run bounds it from outside,
 	// which is fine because exhaustion exits the process.
 	var sets []fim.FrequentItemset
 	err = budget.Run(ctx, func() error {
 		var merr error
-		switch *algo {
-		case "apriori":
-			sets, merr = fim.Apriori(db, abs)
-		case "fpgrowth":
-			sets, merr = fim.FPGrowth(db, abs)
-		case "eclat":
-			sets, merr = fim.Eclat(db, abs)
-		default:
-			merr = fmt.Errorf("unknown algorithm %q (want apriori, fpgrowth or eclat)", *algo)
-		}
+		sets, merr = fim.FPGrowth(db, abs)
 		return merr
 	})
 	if err != nil {

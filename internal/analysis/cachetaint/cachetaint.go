@@ -4,9 +4,10 @@
 // files ungated. The service's disclosure verdicts are cached by content
 // digest, so one cached degraded outcome would be replayed to every later
 // request for the same release — the invariant is currently upheld by
-// convention (server.runCompute returns !o.Degraded as the cacheable flag,
-// the snapshot codec skips degraded entries) and by tests that must think
-// to exercise it; this analyzer turns it into a whole-program guarantee.
+// convention (server.verdict's compute callback returns !o.Degraded as the
+// cacheable flag, the snapshot codec skips degraded entries) and by tests
+// that must think to exercise it; this analyzer turns it into a
+// whole-program guarantee.
 //
 // Terms, each carried across package boundaries as a fact:
 //

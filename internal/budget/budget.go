@@ -7,7 +7,7 @@
 // entry point accepts a context and charges its work against a Budget:
 //
 //   - a wall-clock deadline carried by the context (context.WithTimeout),
-//   - an optional operation-count limit (WithMaxOps or Config.MaxOps),
+//   - an optional operation-count limit carried by the context (WithMaxOps),
 //   - a CheckEvery interval so the context is polled only once per batch of
 //     cheap operations, keeping the overhead negligible on hot loops.
 //
@@ -60,11 +60,9 @@ func MaxOps(ctx context.Context) int64 {
 	return 0
 }
 
-// Config tunes a Budget.
+// Config tunes a Budget. The operation-count limit comes from the
+// context (WithMaxOps), unlimited when it carries none.
 type Config struct {
-	// MaxOps is the operation-count limit; 0 inherits the limit carried by
-	// the context (WithMaxOps), which itself defaults to unlimited.
-	MaxOps int64
 	// CheckEvery is the number of charged operations between context polls;
 	// 0 means DefaultCheckEvery.
 	CheckEvery int64
@@ -88,15 +86,13 @@ type Budget struct {
 	err        error
 }
 
-// New creates a Budget charging against ctx. See Config for the limits.
+// New creates a Budget charging against ctx, limited by its deadline and
+// its WithMaxOps value.
 func New(ctx context.Context, cfg Config) *Budget {
-	if cfg.MaxOps <= 0 {
-		cfg.MaxOps = MaxOps(ctx)
-	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = DefaultCheckEvery
 	}
-	return &Budget{ctx: ctx, maxOps: cfg.MaxOps, checkEvery: cfg.CheckEvery}
+	return &Budget{ctx: ctx, maxOps: MaxOps(ctx), checkEvery: cfg.CheckEvery}
 }
 
 // Charge records n operations and, once per CheckEvery charged operations,

@@ -24,7 +24,7 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 }
 
 func TestMaxOpsExhaustion(t *testing.T) {
-	b := New(context.Background(), Config{MaxOps: 100, CheckEvery: 10})
+	b := New(WithMaxOps(context.Background(), 100), Config{CheckEvery: 10})
 	var err error
 	charged := int64(0)
 	for err == nil {
@@ -115,10 +115,10 @@ func TestWithMaxOpsFlowsIntoNew(t *testing.T) {
 	if err := b.Charge(43); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("context-carried limit ignored: %v", err)
 	}
-	// Explicit config wins over the context.
-	b2 := New(ctx, Config{MaxOps: 1000, CheckEvery: 1})
+	// A nested WithMaxOps replaces the outer limit.
+	b2 := New(WithMaxOps(ctx, 1000), Config{CheckEvery: 1})
 	if err := b2.Charge(100); err != nil {
-		t.Errorf("explicit MaxOps overridden: %v", err)
+		t.Errorf("inner limit overridden by the outer one: %v", err)
 	}
 	// Non-positive limits don't annotate the context.
 	if got := MaxOps(WithMaxOps(context.Background(), 0)); got != 0 {

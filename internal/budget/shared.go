@@ -48,16 +48,13 @@ type Shared struct {
 	err        error
 }
 
-// NewShared creates a budget for a parallel fan-out under ctx. See Config
-// for the limits; MaxOps zero inherits the context's WithMaxOps value.
+// NewShared creates a budget for a parallel fan-out under ctx, limited by
+// its deadline and its WithMaxOps value.
 func NewShared(ctx context.Context, cfg Config) *Shared {
-	if cfg.MaxOps <= 0 {
-		cfg.MaxOps = MaxOps(ctx)
-	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = DefaultCheckEvery
 	}
-	return &Shared{ctx: ctx, maxOps: cfg.MaxOps, checkEvery: cfg.CheckEvery}
+	return &Shared{ctx: ctx, maxOps: MaxOps(ctx), checkEvery: cfg.CheckEvery}
 }
 
 // Worker returns a fresh single-goroutine view of the shared budget. Each

@@ -31,7 +31,7 @@ func TestSharedUnlimited(t *testing.T) {
 }
 
 func TestWorkerBatchesCharges(t *testing.T) {
-	s := NewShared(context.Background(), Config{MaxOps: 1 << 30, CheckEvery: 100})
+	s := NewShared(WithMaxOps(context.Background(), 1<<30), Config{CheckEvery: 100})
 	w := s.Worker()
 	for i := 0; i < 99; i++ {
 		if err := w.Charge(1); err != nil {
@@ -60,7 +60,7 @@ func TestWorkerBatchesCharges(t *testing.T) {
 }
 
 func TestSharedExhaustionIsStickyAcrossViews(t *testing.T) {
-	s := NewShared(context.Background(), Config{MaxOps: 10, CheckEvery: 1})
+	s := NewShared(WithMaxOps(context.Background(), 10), Config{CheckEvery: 1})
 	w1 := s.Worker()
 	var err error
 	for i := 0; i < 20 && err == nil; i++ {
@@ -85,10 +85,10 @@ func TestSharedExhaustionIsStickyAcrossViews(t *testing.T) {
 
 func TestSharedConcurrentCharging(t *testing.T) {
 	// Many goroutines hammering one limit: the total flushed must never
-	// wildly exceed MaxOps + workers×CheckEvery, and every worker must
+	// wildly exceed the limit + workers×CheckEvery, and every worker must
 	// eventually observe the exhaustion.
 	const workers, checkEvery = 8, 16
-	s := NewShared(context.Background(), Config{MaxOps: 10000, CheckEvery: checkEvery})
+	s := NewShared(WithMaxOps(context.Background(), 10000), Config{CheckEvery: checkEvery})
 	var wg sync.WaitGroup
 	errsSeen := make([]error, workers)
 	for g := 0; g < workers; g++ {
@@ -111,7 +111,7 @@ func TestSharedConcurrentCharging(t *testing.T) {
 		}
 	}
 	if got, limit := s.Ops(), int64(10000+workers*checkEvery); got > limit {
-		t.Errorf("flushed %d operations, want <= %d (MaxOps + batch slack)", got, limit)
+		t.Errorf("flushed %d operations, want <= %d (limit + batch slack)", got, limit)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestSharedCanceledContext(t *testing.T) {
 }
 
 func TestSharedBudgetExceededIsDegradable(t *testing.T) {
-	s := NewShared(context.Background(), Config{MaxOps: 1, CheckEvery: 1})
+	s := NewShared(WithMaxOps(context.Background(), 1), Config{CheckEvery: 1})
 	w := s.Worker()
 	w.Charge(1)
 	err := w.Charge(1)

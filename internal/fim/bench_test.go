@@ -57,15 +57,3 @@ func BenchmarkRules(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkEclat(b *testing.B) {
-	db := questDB(b, 80, 5000)
-	minSup, _ := AbsoluteSupport(db, 0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Eclat(db, minSup); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

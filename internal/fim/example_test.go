@@ -7,8 +7,8 @@ import (
 	"repro/internal/fim"
 )
 
-// Mining the textbook example at absolute support 2 with FP-Growth; Apriori
-// and Eclat produce the identical result.
+// Mining the textbook example at absolute support 4 with FP-Growth; the
+// Apriori test oracle produces the identical result.
 func ExampleFPGrowth() {
 	db := dataset.MustNew(6, []dataset.Transaction{
 		{0, 1, 4}, {1, 3}, {1, 2}, {0, 1, 3}, {0, 2},
@@ -32,7 +32,7 @@ func ExampleRules() {
 	db := dataset.MustNew(4, []dataset.Transaction{
 		{0, 1}, {0, 1}, {0, 1}, {0, 2}, {1, 3},
 	})
-	sets, _ := fim.Apriori(db, 3)
+	sets, _ := fim.FPGrowth(db, 3)
 	rules, _ := fim.Rules(sets, db.Transactions(), 0.7)
 	for _, r := range rules {
 		fmt.Println(r)

@@ -242,55 +242,3 @@ func TestSortItemsets(t *testing.T) {
 		}
 	}
 }
-
-func TestEclatMatchesAprioriAndFPGrowth(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 25; trial++ {
-		n := 4 + rng.Intn(10)
-		var txs []dataset.Transaction
-		for i := 0; i < 30+rng.Intn(60); i++ {
-			l := 1 + rng.Intn(6)
-			tx := make(dataset.Transaction, l)
-			for j := range tx {
-				tx[j] = dataset.Item(rng.Intn(n))
-			}
-			txs = append(txs, tx)
-		}
-		db := dataset.MustNew(n, txs)
-		minSup := 1 + rng.Intn(8)
-		a, err := Apriori(db, minSup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := Eclat(db, minSup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(e) {
-			t.Fatalf("trial %d: Apriori %d sets, Eclat %d", trial, len(a), len(e))
-		}
-		for i := range a {
-			if !a[i].Items.Equal(e[i].Items) || a[i].Support != e[i].Support {
-				t.Fatalf("trial %d: mismatch at %d: %v/%d vs %v/%d",
-					trial, i, a[i].Items, a[i].Support, e[i].Items, e[i].Support)
-			}
-		}
-	}
-	if _, err := Eclat(classicDB(t), 0); err == nil {
-		t.Error("minSupport 0: want error")
-	}
-}
-
-func TestEclatClassicExample(t *testing.T) {
-	sets, err := Eclat(classicDB(t), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, err := Apriori(classicDB(t), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != len(ap) {
-		t.Fatalf("Eclat %d sets, Apriori %d", len(sets), len(ap))
-	}
-}

@@ -51,8 +51,7 @@ func (t *fpTree) insert(path []dataset.Item, count int) {
 
 // FPGrowth mines all itemsets with support count >= minSupport by building an
 // FP-tree and recursively mining conditional trees. It produces exactly the
-// same result set as Apriori; the two implementations cross-validate each
-// other in the package tests.
+// same result set as Apriori, the package tests' oracle.
 func FPGrowth(db *dataset.Database, minSupport int) ([]FrequentItemset, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("fim: minimum support %d, want >= 1", minSupport)

@@ -1,8 +1,9 @@
 // Package fim provides the frequent-itemset mining substrate the paper's
 // scenarios rest on ("mining as a service", "mining for the common good"):
-// the Apriori algorithm of Agrawal, Imielinski and Swami (reference [6] of
-// the paper, which also defines the notion of item frequency used throughout)
-// and FP-Growth as an independent implementation for cross-validation.
+// FP-Growth, which mines exactly the itemsets of the Apriori algorithm of
+// Agrawal, Imielinski and Swami (reference [6] of the paper, which also
+// defines the notion of item frequency used throughout). Apriori itself
+// lives in the package tests as the oracle FP-Growth is checked against.
 //
 // Anonymization commutes with mining: the frequent itemsets of an anonymized
 // database are exactly the images of the original frequent itemsets under

@@ -22,7 +22,7 @@ func (r Rule) String() string {
 }
 
 // Rules derives all association rules with confidence >= minConfidence from
-// a collection of frequent itemsets (as produced by Apriori or FPGrowth over
+// a collection of frequent itemsets (as produced by FPGrowth over
 // nTransactions transactions), using the classic Agrawal–Srikant scheme:
 // every non-empty proper subset of a frequent itemset is a candidate
 // antecedent, with downward pruning on confidence (if A ⇒ B fails, so does

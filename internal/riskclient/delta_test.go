@@ -1,8 +1,11 @@
 package riskclient
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -97,16 +100,20 @@ func deltaReq() *server.DeltaRequest {
 }
 
 // TestAssessDeltaRetriesAndDecodes drives the delta endpoint through the
-// shared retry machinery: transient 5xx retried, response decoded with its
-// delta-specific fields, idempotency key stable across attempts.
+// shared retry machinery: transient 5xx retried with the same body,
+// response decoded with its delta-specific fields.
 func TestAssessDeltaRetriesAndDecodes(t *testing.T) {
 	var hits atomic.Int64
-	keys := make(chan string, 8)
+	bodies := make(chan []byte, 8)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/assess/delta" {
 			t.Errorf("delta call hit %s", r.URL.Path)
 		}
-		keys <- r.Header.Get("Idempotency-Key")
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("reading delta attempt: %v", err)
+		}
+		bodies <- body
 		if hits.Add(1) == 1 {
 			w.WriteHeader(http.StatusBadGateway)
 			w.Write([]byte(`{"error": "transient"}`))
@@ -128,12 +135,13 @@ func TestAssessDeltaRetriesAndDecodes(t *testing.T) {
 	if hits.Load() != 2 || len(*slept) != 1 {
 		t.Errorf("hits=%d slept=%v, want one retry", hits.Load(), *slept)
 	}
-	first := <-keys
-	if first == "" {
-		t.Fatal("no Idempotency-Key on delta request")
+	first := <-bodies
+	var sent server.DeltaRequest
+	if err := json.Unmarshal(first, &sent); err != nil || sent.BaseDigest != "abc123" {
+		t.Fatalf("first attempt sent %q (%v), want the delta on abc123", first, err)
 	}
-	if second := <-keys; second != first {
-		t.Error("delta retry changed the idempotency key")
+	if second := <-bodies; !bytes.Equal(second, first) {
+		t.Errorf("delta retry changed the body: %q vs %q", second, first)
 	}
 }
 
@@ -174,7 +182,7 @@ func TestSubscribeEndToEnd(t *testing.T) {
 
 	base, err := c.Assess(ctx, &server.AssessRequest{
 		Dataset: server.DatasetRef{Transactions: 24, Counts: []int{1, 3, 5, 7, 9, 11, 2, 4, 6, 8}},
-		Runs:    2,
+		Params:  server.Params{Runs: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +191,7 @@ func TestSubscribeEndToEnd(t *testing.T) {
 		t.Fatal("assess response carries no digest")
 	}
 
-	sub, err := c.Subscribe(ctx, base.Digest, &SubscribeOptions{Runs: 2})
+	sub, err := c.Subscribe(ctx, base.Digest, &server.Params{Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +207,7 @@ func TestSubscribeEndToEnd(t *testing.T) {
 	dres, err := c.AssessDelta(ctx, &server.DeltaRequest{
 		BaseDigest: base.Digest,
 		Diff:       server.DiffSpec{DTransactions: 1, Items: []int{0}, Deltas: []int{2}},
-		Runs:       2,
+		Params:     server.Params{Runs: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

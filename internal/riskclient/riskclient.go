@@ -20,12 +20,11 @@
 //     exactly as long as the server thinks recovery takes. All waiting is
 //     bounded by the caller's context. 4xx responses never retry: the
 //     request itself is wrong, and repeating it cannot help.
-//   - Idempotency keyed on content. Assessments are pure functions of their
-//     request, so a retry is always safe; the client derives an
-//     Idempotency-Key from the canonical request body (the same digest
-//     discipline as the server's cache key) and sends the identical body
-//     each attempt, letting the server's content-addressed cache collapse
-//     duplicate deliveries into one computation.
+//   - Retries resend identical bytes. Assessments are pure functions of
+//     their request, so a retry is always safe; the client encodes the
+//     request once and sends that body on every attempt, and riskd's
+//     content-addressed cache (keyed on the dataset digest and options)
+//     collapses duplicate deliveries into one computation.
 //
 // Jitter comes from a seeded source so tests and the chaos suite replay the
 // exact retry timeline; production callers pick any seed (the jitter only
@@ -50,7 +49,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/riskcache"
 	"repro/internal/server"
 )
 
@@ -254,7 +252,7 @@ func Backoff(rng *rand.Rand, attempt int, base, max time.Duration) time.Duration
 // return ErrCircuitOpen.
 func (c *Client) Assess(ctx context.Context, req *server.AssessRequest) (*server.AssessResponse, error) {
 	var out server.AssessResponse
-	if err := c.do(ctx, "/v1/assess", "assess", req, &out); err != nil {
+	if err := c.do(ctx, "/v1/assess", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -262,29 +260,25 @@ func (c *Client) Assess(ctx context.Context, req *server.AssessRequest) (*server
 
 // AssessDelta submits an incremental assessment for an evolved release: the
 // base table's digest (from a previous response) plus a sparse counts diff.
-// Retry, breaker, and idempotency semantics match Assess — a delta is the
-// same pure function of its request, just cheaper for the server. A 404
+// Retry and breaker semantics match Assess — a delta is the same pure
+// function of its request, just cheaper for the server. A 404
 // means the server no longer holds the base table; the caller falls back to
 // a full Assess with the evolved counts.
 func (c *Client) AssessDelta(ctx context.Context, req *server.DeltaRequest) (*server.DeltaResponse, error) {
 	var out server.DeltaResponse
-	if err := c.do(ctx, "/v1/assess/delta", "assess-delta", req, &out); err != nil {
+	if err := c.do(ctx, "/v1/assess/delta", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// do runs the shared retry/breaker loop for one POST endpoint, decoding a
-// 2xx body into out.
-func (c *Client) do(ctx context.Context, path, kind string, req any, out any) error {
+// do runs the shared retry/breaker loop for one POST endpoint, sending the
+// same encoded body on every attempt and decoding a 2xx body into out.
+func (c *Client) do(ctx context.Context, path string, req any, out any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("riskclient: encoding request: %w", err)
 	}
-	// Content-derived idempotency key: identical across retries, identical
-	// across clients sending the same logical request. kind keeps the assess
-	// and delta keyspaces disjoint even for byte-identical bodies.
-	idemKey := riskcache.Key(kind, string(body))
 
 	c.mu.Lock()
 	c.calls++
@@ -305,7 +299,7 @@ func (c *Client) do(ctx context.Context, path, kind string, req any, out any) er
 			return err
 		}
 
-		retryable, err := c.attempt(ctx, path, body, idemKey, out)
+		retryable, err := c.attempt(ctx, path, body, out)
 		c.settle(probe, err == nil || isClientError(err))
 		if err == nil {
 			c.mu.Lock()
@@ -356,7 +350,7 @@ func (c *Client) Ready(ctx context.Context) error {
 // attempt performs one HTTP try against path, decoding a 2xx into out.
 // retryable classifies the failure; client errors (4xx) and decode failures
 // are final.
-func (c *Client) attempt(ctx context.Context, path string, body []byte, idemKey string, out any) (retryable bool, err error) {
+func (c *Client) attempt(ctx context.Context, path string, body []byte, out any) (retryable bool, err error) {
 	c.mu.Lock()
 	c.attempts++
 	c.mu.Unlock()
@@ -366,7 +360,6 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, idemKey 
 		return false, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("Idempotency-Key", idemKey)
 
 	hresp, err := c.cfg.HTTPClient.Do(hreq)
 	if err != nil {

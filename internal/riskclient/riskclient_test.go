@@ -1,8 +1,11 @@
 package riskclient
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -15,24 +18,28 @@ import (
 )
 
 // scriptServer answers /v1/assess from a queue of canned statuses; 200s
-// carry a minimal valid AssessResponse. It records hits and the
-// Idempotency-Key of every attempt.
+// carry a minimal valid AssessResponse. It records hits and the body of
+// every attempt.
 type scriptServer struct {
 	t        *testing.T
 	statuses []int
 	headers  []http.Header // optional per-status extra headers
 	hits     atomic.Int64
-	keys     chan string
+	bodies   chan []byte
 }
 
 func newScript(t *testing.T, statuses ...int) *scriptServer {
-	return &scriptServer{t: t, statuses: statuses, keys: make(chan string, 64)}
+	return &scriptServer{t: t, statuses: statuses, bodies: make(chan []byte, 64)}
 }
 
 func (s *scriptServer) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := int(s.hits.Add(1)) - 1
-		s.keys <- r.Header.Get("Idempotency-Key")
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			s.t.Errorf("reading attempt %d: %v", n+1, err)
+		}
+		s.bodies <- body
 		status := http.StatusOK
 		if n < len(s.statuses) {
 			status = s.statuses[n]
@@ -208,34 +215,30 @@ func TestRetryAfterClamped(t *testing.T) {
 	}
 }
 
-func TestIdempotencyKeyStableAcrossRetries(t *testing.T) {
+// TestRetriesResendIdenticalBody: every attempt of one call carries the
+// same bytes, so riskd's content-addressed cache sees one request however
+// often it is delivered.
+func TestRetriesResendIdenticalBody(t *testing.T) {
 	s := newScript(t, 500, 500, 200)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	c, _ := newTestClient(t, ts, nil)
 
-	if _, err := c.Assess(context.Background(), assessReq()); err != nil {
+	req := assessReq()
+	req.Seed = new(int64)
+	*req.Seed = 99
+	if _, err := c.Assess(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	first := <-s.keys
-	if first == "" {
-		t.Fatal("no Idempotency-Key header sent")
+	first := <-s.bodies
+	var sent server.AssessRequest
+	if err := json.Unmarshal(first, &sent); err != nil || sent.Seed == nil || *sent.Seed != 99 {
+		t.Fatalf("first attempt sent %q (%v), want the request with seed 99", first, err)
 	}
 	for i := 0; i < 2; i++ {
-		if k := <-s.keys; k != first {
-			t.Errorf("retry %d changed the idempotency key: %s vs %s", i+1, k, first)
+		if b := <-s.bodies; !bytes.Equal(b, first) {
+			t.Errorf("retry %d changed the body: %q vs %q", i+1, b, first)
 		}
-	}
-
-	// A different request must get a different key.
-	other := assessReq()
-	other.Seed = new(int64)
-	*other.Seed = 99
-	if _, err := c.Assess(context.Background(), other); err != nil {
-		t.Fatal(err)
-	}
-	if k := <-s.keys; k == first {
-		t.Error("distinct requests share an idempotency key")
 	}
 }
 

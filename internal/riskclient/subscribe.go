@@ -27,17 +27,6 @@ import (
 // treat the close as a failure.
 var ErrServerDraining = errors.New("riskclient: server draining")
 
-// SubscribeOptions selects the recipe options of the verdicts the stream's
-// initial event carries; nil fields take the server defaults. They mirror
-// the option fields of server.AssessRequest.
-type SubscribeOptions struct {
-	Tau       *float64
-	Runs      int
-	Seed      *int64
-	Comfort   float64
-	Propagate *bool
-}
-
 // Subscription is a live verdict stream. Not safe for concurrent Next calls.
 type Subscription struct {
 	body io.ReadCloser
@@ -45,27 +34,31 @@ type Subscription struct {
 }
 
 // Subscribe opens a verdict stream for a table digest (from a previous
-// assessment's response). The returned Subscription's first Next is the
-// current verdict; later Nexts deliver fresh verdicts as deltas evolve the
-// watched table, following the digest chain. ctx bounds the whole stream:
-// canceling it unblocks Next with the context error.
-func (c *Client) Subscribe(ctx context.Context, digest string, opts *SubscribeOptions) (*Subscription, error) {
+// assessment's response). p selects the recipe options of the verdicts
+// the stream's initial event carries, as they do in a request body; nil,
+// or an unset field, takes the server default, and TimeoutMS is not sent:
+// the initial verdict runs under the server's own budget. The returned
+// Subscription's first Next is the current verdict; later Nexts deliver
+// fresh verdicts as deltas evolve the watched table, following the digest
+// chain. ctx bounds the whole stream: canceling it unblocks Next with the
+// context error.
+func (c *Client) Subscribe(ctx context.Context, digest string, p *server.Params) (*Subscription, error) {
 	q := url.Values{"digest": {digest}}
-	if opts != nil {
-		if opts.Tau != nil {
-			q.Set("tau", strconv.FormatFloat(*opts.Tau, 'g', -1, 64))
+	if p != nil {
+		if p.Tau != nil {
+			q.Set("tau", strconv.FormatFloat(*p.Tau, 'g', -1, 64))
 		}
-		if opts.Runs > 0 {
-			q.Set("runs", strconv.Itoa(opts.Runs))
+		if p.Runs > 0 {
+			q.Set("runs", strconv.Itoa(p.Runs))
 		}
-		if opts.Seed != nil {
-			q.Set("seed", strconv.FormatInt(*opts.Seed, 10))
+		if p.Seed != nil {
+			q.Set("seed", strconv.FormatInt(*p.Seed, 10))
 		}
-		if opts.Comfort > 0 {
-			q.Set("comfort", strconv.FormatFloat(opts.Comfort, 'g', -1, 64))
+		if p.Comfort > 0 {
+			q.Set("comfort", strconv.FormatFloat(p.Comfort, 'g', -1, 64))
 		}
-		if opts.Propagate != nil {
-			q.Set("propagate", strconv.FormatBool(*opts.Propagate))
+		if p.Propagate != nil {
+			q.Set("propagate", strconv.FormatBool(*p.Propagate))
 		}
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/assess/subscribe?"+q.Encode(), nil)

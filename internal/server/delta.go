@@ -30,7 +30,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -53,16 +52,7 @@ type DeltaRequest struct {
 	// full POST /v1/assess.
 	BaseDigest string   `json:"base_digest"`
 	Diff       DiffSpec `json:"diff"`
-
-	Tau       *float64 `json:"tau,omitempty"`     // default 0.1
-	Runs      int      `json:"runs,omitempty"`    // default 5
-	Seed      *int64   `json:"seed,omitempty"`    // default 1
-	Comfort   float64  `json:"comfort,omitempty"` // default 0.5
-	Propagate *bool    `json:"propagate,omitempty"`
-
-	// TimeoutMS optionally lowers (never raises) the server's per-request
-	// budget for this request.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	Params
 }
 
 // DiffSpec mirrors dataset.CountsDiff on the wire.
@@ -73,86 +63,44 @@ type DiffSpec struct {
 }
 
 // DeltaResponse is the POST /v1/assess/delta reply and the SSE "verdict"
-// event payload. Digest (promoted from AssessResponse) is the evolved
-// table's digest — the base_digest for the next diff in the chain.
+// event payload; POST /v1/assess writes it too, with both of its own
+// fields empty and so omitted. Digest (promoted from AssessResponse) is
+// the evolved table's digest — the base_digest for the next diff in the
+// chain.
 type DeltaResponse struct {
 	AssessResponse
 	BaseDigest string `json:"base_digest,omitempty"`
-	// Incremental: this request computed the evolved table's verdict with
-	// the real pipeline, on the table its diff produced — not a cache hit,
-	// not a coalesced wait, and not an injected AssessFn. Provenance only:
-	// the bytes are identical either way.
+	// Incremental: this delta request computed the evolved table's verdict,
+	// on the table its diff produced — not a cache hit and not a coalesced
+	// wait. Provenance only: the bytes are identical either way.
 	Incremental bool `json:"incremental,omitempty"`
-}
-
-// applyOptionParams fills the recipe option defaults shared by /v1/assess,
-// /v1/assess/delta, and /v1/assess/subscribe, so the three endpoints cannot
-// drift apart and compute different cache keys for the same request.
-func applyOptionParams(job *Job, tau *float64, runs int, seed *int64, comfort float64, propagate *bool) {
-	job.Tau, job.Runs, job.Seed, job.Comfort, job.Propagate = 0.1, 5, 1, 0.5, true
-	if tau != nil {
-		job.Tau = *tau
-	}
-	if runs > 0 {
-		job.Runs = runs
-	}
-	if seed != nil {
-		job.Seed = *seed
-	}
-	if comfort > 0 {
-		job.Comfort = comfort
-	}
-	if propagate != nil {
-		job.Propagate = *propagate
-	}
-}
-
-// deltaJob builds the recipe-mode Job for an applied table. The key is
-// computed exactly as parseJob computes it for a belief-less request, so a
-// delta verdict content-addresses identically to the full-path verdict for
-// the same counts and options.
-func deltaJob(ft *dataset.FrequencyTable, req *DeltaRequest) (*Job, error) {
-	job := &Job{Table: ft}
-	applyOptionParams(job, req.Tau, req.Runs, req.Seed, req.Comfort, req.Propagate)
-	if !(job.Tau > 0 && job.Tau < 1) {
-		return nil, fmt.Errorf("server: tau %v outside (0,1)", job.Tau)
-	}
-	job.Key = riskcache.Key(ft.Digest(), "", canonicalOptions(job))
-	return job, nil
 }
 
 func (s *Server) handleAssessDelta(w http.ResponseWriter, r *http.Request) {
 	startReq := time.Now()
 	var req DeltaRequest
 	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
-		s.badInput.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		s.badRequest(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	if req.BaseDigest == "" {
-		s.badInput.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "server: base_digest is required"})
+		s.badRequest(w, http.StatusBadRequest, "server: base_digest is required")
 		return
 	}
 	base, ok := s.tables.Get(req.BaseDigest)
 	if !ok {
-		s.deltaBaseMiss.Add(1)
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			Error: "server: base digest unknown (evicted or never seen); POST the full table to /v1/assess and retry",
-		})
+		s.baseMiss(w, "base digest")
 		return
 	}
 	d := &dataset.CountsDiff{DTransactions: req.Diff.DTransactions, Items: req.Diff.Items, Deltas: req.Diff.Deltas}
 	applied := base.Clone()
 	if err := applied.ApplyDiff(d); err != nil {
-		s.badInput.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, err := deltaJob(applied, &req)
+	job, err := newJob(applied, "", false, false, &req.Params)
 	if err != nil {
-		s.badInput.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.requests.Add(1)
@@ -166,44 +114,12 @@ func (s *Server) handleAssessDelta(w http.ResponseWriter, r *http.Request) {
 	digest := applied.Digest()
 	s.tables.Put(digest, applied)
 
-	timeout := s.requestTimeout(req.TimeoutMS)
-	outcome, src, err := s.cache.GetOrCompute(r.Context(), job.Key, func() (*Outcome, bool, error) {
-		return s.runCompute(timeout, func(ctx context.Context) (*Outcome, error) {
-			return s.cfg.AssessFn(ctx, job)
-		})
-	})
+	outcome, from, err := s.verdict(r.Context(), job, req.TimeoutMS)
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
 	}
-	incremental := src == riskcache.Computed && s.realPipeline
-	if src == riskcache.Computed {
-		if incremental {
-			s.deltaIncremental.Add(1)
-		} else {
-			s.deltaFull.Add(1)
-		}
-	}
-	if outcome.Degraded {
-		s.degraded.Add(1)
-	}
-	s.completedJobs.Add(1)
-	resp := DeltaResponse{
-		AssessResponse: AssessResponse{
-			Cached:    src == riskcache.Hit,
-			Coalesced: src == riskcache.Coalesced,
-			Key:       job.Key,
-			Digest:    digest,
-			ElapsedMS: float64(time.Since(startReq)) / float64(time.Millisecond),
-			Outcome:   outcome,
-		},
-		BaseDigest:  req.BaseDigest,
-		Incremental: incremental,
-	}
-	if src == riskcache.Computed {
-		s.broadcast(req.BaseDigest, &resp)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.answer(w, startReq, job.Key, digest, req.BaseDigest, outcome, from)
 }
 
 // subscriber is one live SSE stream. digests — the set of table states whose
@@ -268,28 +184,22 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	digest := q.Get("digest")
 	if digest == "" {
-		s.badInput.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "server: digest query parameter is required"})
+		s.badRequest(w, http.StatusBadRequest, "server: digest query parameter is required")
 		return
 	}
 	ft, ok := s.tables.Get(digest)
 	if !ok {
-		s.deltaBaseMiss.Add(1)
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			Error: "server: digest unknown (evicted or never seen); POST the full table to /v1/assess and retry",
-		})
+		s.baseMiss(w, "digest")
 		return
 	}
-	req := &DeltaRequest{BaseDigest: digest}
-	if err := parseSubscribeParams(q, req); err != nil {
-		s.badInput.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	var p Params
+	if err := parseSubscribeParams(q, &p); err != nil {
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, err := deltaJob(ft, req)
+	job, err := newJob(ft, "", false, false, &p)
 	if err != nil {
-		s.badInput.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -304,11 +214,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// warm cache costs the stream nothing. The stream itself is not counted
 	// in inflightJobs — subscribe connections are long-lived by design and
 	// drain via drainCh, not DrainWait.
-	outcome, src, err := s.cache.GetOrCompute(r.Context(), job.Key, func() (*Outcome, bool, error) {
-		return s.runCompute(s.requestTimeout(0), func(ctx context.Context) (*Outcome, error) {
-			return s.cfg.AssessFn(ctx, job)
-		})
-	})
+	outcome, from, err := s.verdict(r.Context(), job, 0)
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
@@ -322,8 +228,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	writeSSE(w, "verdict", &DeltaResponse{AssessResponse: AssessResponse{
-		Cached:    src == riskcache.Hit,
-		Coalesced: src == riskcache.Coalesced,
+		Cached:    from == riskcache.Hit,
+		Coalesced: from == riskcache.Coalesced,
 		Key:       job.Key,
 		Digest:    digest,
 		Outcome:   outcome,
@@ -356,8 +262,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseSubscribeParams reads the recipe options from the subscribe query
-// string; the names match the JSON fields of AssessRequest/DeltaRequest.
-func parseSubscribeParams(q map[string][]string, req *DeltaRequest) error {
+// string, under the JSON names of Params.
+func parseSubscribeParams(q map[string][]string, p *Params) error {
 	get := func(name string) string {
 		if vs := q[name]; len(vs) > 0 {
 			return vs[0]
@@ -369,35 +275,35 @@ func parseSubscribeParams(q map[string][]string, req *DeltaRequest) error {
 		if err != nil {
 			return fmt.Errorf("server: bad tau %q: %w", v, err)
 		}
-		req.Tau = &f
+		p.Tau = &f
 	}
 	if v := get("runs"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			return fmt.Errorf("server: bad runs %q: %w", v, err)
 		}
-		req.Runs = n
+		p.Runs = n
 	}
 	if v := get("seed"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return fmt.Errorf("server: bad seed %q: %w", v, err)
 		}
-		req.Seed = &n
+		p.Seed = &n
 	}
 	if v := get("comfort"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return fmt.Errorf("server: bad comfort %q: %w", v, err)
 		}
-		req.Comfort = f
+		p.Comfort = f
 	}
 	if v := get("propagate"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
 			return fmt.Errorf("server: bad propagate %q: %w", v, err)
 		}
-		req.Propagate = &b
+		p.Propagate = &b
 	}
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/recipe"
+	"repro/internal/riskcache"
 )
 
 // postDelta sends a delta request and decodes the response.
@@ -252,7 +253,8 @@ func TestDeltaBaseMissAndBadInput(t *testing.T) {
 
 // TestDeltaDegradedServedNotCached pins the degraded-200 contract on the
 // delta endpoint: an injected degraded outcome is served with 200 but never
-// stored, so the next identical delta recomputes.
+// stored, so the next identical delta recomputes, and each such delta
+// computed its verdict.
 func TestDeltaDegradedServedNotCached(t *testing.T) {
 	computes := 0
 	s := New(Config{AssessFn: func(_ context.Context, job *Job) (*Outcome, error) {
@@ -272,8 +274,8 @@ func TestDeltaDegradedServedNotCached(t *testing.T) {
 		if !dres.Degraded || dres.Cached {
 			t.Errorf("delta %d: degraded=%v cached=%v, want degraded fresh", i, dres.Degraded, dres.Cached)
 		}
-		if dres.Incremental {
-			t.Error("injected AssessFn must not be reported as incremental")
+		if !dres.Incremental {
+			t.Errorf("delta %d computed its verdict: want incremental", i)
 		}
 	}
 	if computes != 3 { // base + two uncacheable deltas
@@ -531,6 +533,82 @@ func TestSubscribeRejectsUnknownAndBadParams(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/assess/subscribe?digest="+base.Digest+"&tau=NaN", nil).WithContext(ctx))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("NaN tau param: HTTP %d, want 400", rec.Code)
+	}
+}
+
+// TestRoutesShareOneJob sets all five recipe options off their defaults
+// and checks that the three routes build the same job from them: a
+// /v1/assess body, a two-hop delta chain back to the same counts and the
+// subscribe query for that digest all report the key those options give,
+// so the chain's second hop is a cache hit. The /v1/assess body carries
+// neither of the delta-only fields.
+func TestRoutesShareOneJob(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const opts = `, "tau": 0.2, "runs": 3, "seed": 7, "comfort": 0.4, "propagate": false`
+	postJSON := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s (%v)", path, resp.StatusCode, raw, err)
+		}
+		return raw
+	}
+
+	raw := postJSON("/v1/assess", countsBody(12, opts))
+	for _, field := range []string{`"base_digest"`, `"incremental"`} {
+		if bytes.Contains(raw, []byte(field)) {
+			t.Errorf("/v1/assess response carries %s: %s", field, raw)
+		}
+	}
+	var base AssessResponse
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	want := riskcache.Key(base.Digest, "", "recipe tau=0.2 runs=3 seed=7 comfort=0.4 propagate=false")
+	if base.Key != want {
+		t.Errorf("/v1/assess key %s, want %s", base.Key, want)
+	}
+
+	var up, back DeltaResponse
+	if err := json.Unmarshal(postJSON("/v1/assess/delta", deltaBody(base.Digest, 0, []int{0}, []int{1}, opts)), &up); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(postJSON("/v1/assess/delta", deltaBody(up.Digest, 0, []int{0}, []int{-1}, opts)), &back); err != nil {
+		t.Fatal(err)
+	}
+	if up.Key == base.Key || !up.Incremental {
+		t.Errorf("first hop: key %s incremental=%v, want a new key, computed", up.Key, up.Incremental)
+	}
+	if back.Digest != base.Digest || back.Key != base.Key {
+		t.Errorf("second hop: digest/key %s/%s, want %s/%s", back.Digest, back.Key, base.Digest, base.Key)
+	}
+	if !back.Cached || back.Incremental {
+		t.Errorf("second hop: cached=%v incremental=%v, want a cache hit", back.Cached, back.Incremental)
+	}
+
+	sub, err := http.Get(ts.URL + "/v1/assess/subscribe?digest=" + base.Digest +
+		"&tau=0.2&runs=3&seed=7&comfort=0.4&propagate=false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Body.Close()
+	ev, err := readSSE(bufio.NewReader(sub.Body))
+	if err != nil || ev.name != "verdict" {
+		t.Fatalf("subscribe: event %+v, err %v; want verdict", ev, err)
+	}
+	var initial DeltaResponse
+	if err := json.Unmarshal([]byte(ev.data), &initial); err != nil {
+		t.Fatal(err)
+	}
+	if initial.Key != base.Key || !initial.Cached {
+		t.Errorf("subscribe: key %s cached=%v, want %s from the cache", initial.Key, initial.Cached, base.Key)
 	}
 }
 

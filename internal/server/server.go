@@ -175,24 +175,31 @@ type AttackOutcome struct {
 	Alpha           float64 `json:"alpha"`
 }
 
+// Params are the options of every route: the recipe options, which newJob
+// defaults and folds into the cache key, and the request's budget.
+// AssessRequest and DeltaRequest embed them; a subscribe query string
+// fills all but TimeoutMS under the same names.
+type Params struct {
+	Tau       *float64 `json:"tau,omitempty"`       // default 0.1
+	Runs      int      `json:"runs,omitempty"`      // default 5
+	Seed      *int64   `json:"seed,omitempty"`      // default 1
+	Comfort   float64  `json:"comfort,omitempty"`   // default 0.5
+	Propagate *bool    `json:"propagate,omitempty"` // default true
+
+	// TimeoutMS optionally lowers (never raises) the server's per-request
+	// budget for this request.
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
 // AssessRequest is the POST /v1/assess body.
 type AssessRequest struct {
 	Dataset DatasetRef `json:"dataset"`
 	// Belief is an optional hacker belief spec in the internal/belief.Parse
 	// text format; present selects attack mode.
 	Belief string `json:"belief,omitempty"`
-
-	Tau       *float64 `json:"tau,omitempty"`     // default 0.1
-	Runs      int      `json:"runs,omitempty"`    // default 5
-	Seed      *int64   `json:"seed,omitempty"`    // default 1
-	Comfort   float64  `json:"comfort,omitempty"` // default 0.5
-	Propagate *bool    `json:"propagate,omitempty"`
-	Exact     bool     `json:"exact,omitempty"`
-	Simulate  bool     `json:"simulate,omitempty"`
-
-	// TimeoutMS optionally lowers (never raises) the server's per-request
-	// budget for this request.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	Params
+	Exact    bool `json:"exact,omitempty"`
+	Simulate bool `json:"simulate,omitempty"`
 }
 
 // DatasetRef names the data under assessment: exactly one of Path (FIMI file
@@ -232,9 +239,6 @@ type Server struct {
 	sem   chan struct{}
 	base  context.Context
 	start time.Time
-	// realPipeline: no AssessFn was injected, so a computed delta is
-	// reported as incremental.
-	realPipeline bool
 
 	// tables is the digest-addressed registry of frequency tables seen by
 	// /v1/assess and /v1/assess/delta; delta requests resolve base_digest
@@ -260,8 +264,7 @@ type Server struct {
 
 	deltaRequests    atomic.Int64 // delta requests accepted past parsing
 	deltaBaseMiss    atomic.Int64 // 404s: base digest not in the registry
-	deltaIncremental atomic.Int64 // deltas computed by the real pipeline
-	deltaFull        atomic.Int64 // deltas computed by an injected AssessFn
+	deltaIncremental atomic.Int64 // deltas that computed their verdict
 	subActive        atomic.Int64 // subscribe streams currently open
 	subEvents        atomic.Int64 // verdict events delivered to streams
 	subDropped       atomic.Int64 // verdict events dropped on full stream buffers
@@ -324,7 +327,6 @@ func New(cfg Config) *Server {
 		subs:    make(map[*subscriber]struct{}),
 		drainCh: make(chan struct{}),
 	}
-	s.realPipeline = s.cfg.AssessFn == nil
 	if s.cfg.AssessFn == nil {
 		s.cfg.AssessFn = defaultAssess
 	}
@@ -384,7 +386,6 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 			"requests":    s.deltaRequests.Load(),
 			"base_miss":   s.deltaBaseMiss.Load(),
 			"incremental": s.deltaIncremental.Load(),
-			"full":        s.deltaFull.Load(),
 		},
 		"subscribe": map[string]any{
 			"active":  s.subActive.Load(),
@@ -432,21 +433,19 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 				s.requests.Add(1)
 				s.inflightJobs.Add(1)
 				defer s.inflightJobs.Add(-1)
-				s.writeAssess(w, startReq, a.key, a.digest, outcome, riskcache.Hit)
+				s.answer(w, startReq, a.key, a.digest, "", outcome, riskcache.Hit)
 				return
 			}
 		}
 	}
 	var req AssessRequest
 	if err := decodeBody(src, &req); err != nil {
-		s.badInput.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		s.badRequest(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	job, status, err := s.parseJob(&req)
 	if err != nil {
-		s.badInput.Add(1)
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		s.badRequest(w, status, err.Error())
 		return
 	}
 	s.requests.Add(1)
@@ -459,17 +458,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	digest := job.Table.Digest()
 	s.tables.Put(digest, job.Table)
 
-	timeout := s.requestTimeout(req.TimeoutMS)
-
-	// The computation runs under the server's base context — not the HTTP
-	// request's — so a disconnecting leader cannot kill a result that
-	// coalesced followers are waiting on. The request context only bounds
-	// this caller's wait on someone else's in-flight computation.
-	outcome, from, err := s.cache.GetOrCompute(r.Context(), job.Key, func() (*Outcome, bool, error) {
-		return s.runCompute(timeout, func(ctx context.Context) (*Outcome, error) {
-			return s.cfg.AssessFn(ctx, job)
-		})
-	})
+	outcome, from, err := s.verdict(r.Context(), job, req.TimeoutMS)
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
@@ -479,64 +468,93 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	if from == riskcache.Hit && body != nil && req.Dataset.Path == "" {
 		s.aliases.Put(alias, bodyAlias{key: job.Key, digest: digest})
 	}
-	s.writeAssess(w, startReq, job.Key, digest, outcome, from)
+	s.answer(w, startReq, job.Key, digest, "", outcome, from)
 }
 
-// writeAssess counts an answered assess request and writes its response.
-func (s *Server) writeAssess(w http.ResponseWriter, startReq time.Time, key, digest string, outcome *Outcome, from riskcache.Source) {
-	if outcome.Degraded {
-		s.degraded.Add(1)
-	}
-	s.completedJobs.Add(1)
-	resp := AssessResponse{
-		Cached:    from == riskcache.Hit,
-		Coalesced: from == riskcache.Coalesced,
-		Key:       key,
-		Digest:    digest,
-		ElapsedMS: float64(time.Since(startReq)) / float64(time.Millisecond),
-		Outcome:   outcome,
-	}
-	if from == riskcache.Computed {
-		s.broadcast("", &DeltaResponse{AssessResponse: resp})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// requestTimeout lowers (never raises) the configured budget by a client's
-// timeout_ms.
-func (s *Server) requestTimeout(timeoutMS int64) time.Duration {
+// verdict returns the job's outcome from the cache, from an identical
+// computation in flight, or by computing it: the one way every route
+// reaches the pipeline. The computation runs under the server's base
+// context, not the request's ctx, so a disconnecting leader cannot kill a
+// result that coalesced followers wait on; ctx only bounds this caller's
+// wait. Its budget is the server's timeout, lowered (never raised) by a
+// positive timeoutMS, and its operation limit. It first takes an inflight
+// slot: the inflight cap is the global backpressure valve, and waiting for
+// a slot spends the request's own deadline, so under sustained overload
+// queued requests degrade to 503 + Retry-After instead of piling up
+// without bound. A computation's latency feeds the Retry-After EWMA; a
+// degraded outcome is shared with the requests waiting on it but never
+// stored.
+func (s *Server) verdict(ctx context.Context, job *Job, timeoutMS int64) (*Outcome, riskcache.Source, error) {
 	timeout := s.cfg.Timeout
 	if timeoutMS > 0 {
 		if t := time.Duration(timeoutMS) * time.Millisecond; timeout == 0 || t < timeout {
 			timeout = t
 		}
 	}
-	return timeout
+	return s.cache.GetOrCompute(ctx, job.Key, func() (*Outcome, bool, error) {
+		ctx, cancel := cliutil.RequestContext(s.base, timeout, s.cfg.MaxOps)
+		defer cancel()
+		select {
+		case s.sem <- struct{}{}:
+			defer func() { <-s.sem }()
+		case <-ctx.Done():
+			return nil, false, budget.WrapContextErr(ctx.Err())
+		}
+		computeStart := time.Now()
+		o, err := s.cfg.AssessFn(ctx, job)
+		if err != nil {
+			return nil, false, err
+		}
+		s.observeLatency(time.Since(computeStart))
+		return o, !o.Degraded, nil
+	})
 }
 
-// runCompute is the shared compute harness for assess and delta: it binds the
-// work to the server's base context with the request budget, takes an
-// inflight slot, and folds a successful computation's latency into the
-// Retry-After EWMA. The inflight cap is the global backpressure valve:
-// waiting for a slot spends the request's own deadline, so under sustained
-// overload queued requests degrade to 503 + Retry-After instead of piling up
-// without bound.
-func (s *Server) runCompute(timeout time.Duration, do func(ctx context.Context) (*Outcome, error)) (*Outcome, bool, error) {
-	ctx, cancel := cliutil.RequestContext(s.base, timeout, s.cfg.MaxOps)
-	defer cancel()
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		return nil, false, budget.WrapContextErr(ctx.Err())
+// answer counts an answered assess or delta request and writes its 200. A
+// delta names the digest it evolved from in baseDigest and is incremental
+// when it computed its verdict. A computed verdict also goes to the
+// subscribe streams watching its digest or that base.
+func (s *Server) answer(w http.ResponseWriter, startReq time.Time, key, digest, baseDigest string, outcome *Outcome, from riskcache.Source) {
+	incremental := baseDigest != "" && from == riskcache.Computed
+	if incremental {
+		s.deltaIncremental.Add(1)
 	}
-	computeStart := time.Now()
-	o, err := do(ctx)
-	if err != nil {
-		return nil, false, err
+	if outcome.Degraded {
+		s.degraded.Add(1)
 	}
-	s.observeLatency(time.Since(computeStart))
-	return o, !o.Degraded, nil
+	s.completedJobs.Add(1)
+	resp := &DeltaResponse{
+		AssessResponse: AssessResponse{
+			Cached:    from == riskcache.Hit,
+			Coalesced: from == riskcache.Coalesced,
+			Key:       key,
+			Digest:    digest,
+			ElapsedMS: float64(time.Since(startReq)) / float64(time.Millisecond),
+			Outcome:   outcome,
+		},
+		BaseDigest:  baseDigest,
+		Incremental: incremental,
+	}
+	if from == riskcache.Computed {
+		s.broadcast(baseDigest, resp)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// badRequest counts a request refused at parsing or validation and writes
+// its 4xx.
+func (s *Server) badRequest(w http.ResponseWriter, status int, msg string) {
+	s.badInput.Add(1)
+	writeJSON(w, status, errorResponse{Error: msg})
+}
+
+// baseMiss writes the 404 for a digest the table registry does not hold;
+// what names the digest as the route's request does.
+func (s *Server) baseMiss(w http.ResponseWriter, what string) {
+	s.deltaBaseMiss.Add(1)
+	writeJSON(w, http.StatusNotFound, errorResponse{
+		Error: "server: " + what + " unknown (evicted or never seen); POST the full table to /v1/assess and retry",
+	})
 }
 
 // writeComputeError maps a computation error to the wire: budget exhaustion
@@ -557,26 +575,53 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 }
 
-// parseJob validates a request into a Job and derives its cache key. The
+// parseJob resolves an assess request's dataset and builds its job. The
 // returned status is the HTTP code to use when err is non-nil.
 func (s *Server) parseJob(req *AssessRequest) (*Job, int, error) {
 	ft, status, err := s.resolveDataset(&req.Dataset)
 	if err != nil {
 		return nil, status, err
 	}
-	job := &Job{Table: ft, Exact: req.Exact, Simulate: req.Simulate}
-	applyOptionParams(job, req.Tau, req.Runs, req.Seed, req.Comfort, req.Propagate)
-	if req.Belief != "" {
-		bf, err := belief.Parse(strings.NewReader(req.Belief), ft.NItems)
+	job, err := newJob(ft, req.Belief, req.Exact, req.Simulate, &req.Params)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return job, 0, nil
+}
+
+// newJob builds the job of every route: it applies the option defaults,
+// parses the belief spec (none: recipe mode, where τ must lie in (0,1))
+// and derives the cache key, so a delta or subscribe request
+// content-addresses exactly as /v1/assess does for the same counts and
+// options.
+func newJob(ft *dataset.FrequencyTable, beliefSpec string, exact, simulate bool, p *Params) (*Job, error) {
+	job := &Job{Table: ft, Tau: 0.1, Runs: 5, Seed: 1, Comfort: 0.5, Propagate: true, Exact: exact, Simulate: simulate}
+	if p.Tau != nil {
+		job.Tau = *p.Tau
+	}
+	if p.Runs > 0 {
+		job.Runs = p.Runs
+	}
+	if p.Seed != nil {
+		job.Seed = *p.Seed
+	}
+	if p.Comfort > 0 {
+		job.Comfort = p.Comfort
+	}
+	if p.Propagate != nil {
+		job.Propagate = *p.Propagate
+	}
+	if beliefSpec != "" {
+		bf, err := belief.Parse(strings.NewReader(beliefSpec), ft.NItems)
 		if err != nil {
-			return nil, http.StatusBadRequest, err
+			return nil, err
 		}
 		job.Belief = bf
 	} else if !(job.Tau > 0 && job.Tau < 1) {
-		return nil, http.StatusBadRequest, fmt.Errorf("server: tau %v outside (0,1)", job.Tau)
+		return nil, fmt.Errorf("server: tau %v outside (0,1)", job.Tau)
 	}
 	job.Key = riskcache.Key(ft.Digest(), beliefDigest(job.Belief), canonicalOptions(job))
-	return job, 0, nil
+	return job, nil
 }
 
 func beliefDigest(bf *belief.Function) string {

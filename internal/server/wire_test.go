@@ -16,7 +16,8 @@ import (
 // plainType returns t with every Ints replaced by []int, through struct
 // fields and pointers: the type encoding/json would decode if Ints had no
 // UnmarshalJSON. Request types hold only plain fields, Ints and structs of
-// those, so rebuilding their structs loses no method.
+// those, so rebuilding their structs loses no method; an embedded struct
+// stays embedded, so its fields keep their promoted JSON names.
 func plainType(t reflect.Type) reflect.Type {
 	switch t.Kind() {
 	case reflect.Slice:
@@ -29,7 +30,7 @@ func plainType(t reflect.Type) reflect.Type {
 		fields := make([]reflect.StructField, t.NumField())
 		for i := range fields {
 			f := t.Field(i)
-			fields[i] = reflect.StructField{Name: f.Name, Type: plainType(f.Type), Tag: f.Tag}
+			fields[i] = reflect.StructField{Name: f.Name, Type: plainType(f.Type), Tag: f.Tag, Anonymous: f.Anonymous}
 		}
 		return reflect.StructOf(fields)
 	}
