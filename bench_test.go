@@ -233,7 +233,7 @@ func BenchmarkSamplerParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := matching.Config{SeedSweeps: 20, SampleGap: 2, SamplesPerSeed: 100, Samples: 200, Runs: 8}
+	cfg := matching.Config{SeedSweeps: 20, Samples: 420, Runs: 8}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			ctx := parallel.WithWorkers(context.Background(), w)

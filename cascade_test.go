@@ -71,13 +71,13 @@ func TestAttackCtxDegradesToOEstimate(t *testing.T) {
 func TestAttackCtxDegradesToSampled(t *testing.T) {
 	db := singleGroupDB(t, 22)
 	// 200k ops: the exact tier's 2^22-state DP exceeds it almost at once; the
-	// sampler below needs ~(5+20·2)·22 ≈ 1k ops per run.
+	// sampler below needs ~(5+40)·22 ≈ 1k ops per run.
 	ctx := budget.WithMaxOps(context.Background(), 200_000)
 
 	rep, err := AttackTableCtx(ctx, ExactKnowledge(db), db.Table(), AttackOptions{
 		Exact: true,
 		Sampler: SamplerConfig{
-			Runs: 2, Samples: 20, SeedSweeps: 5, SampleGap: 2,
+			Runs: 2, Samples: 40, SeedSweeps: 5,
 		},
 		Rng: rand.New(rand.NewSource(2)),
 	})
@@ -90,7 +90,7 @@ func TestAttackCtxDegradesToSampled(t *testing.T) {
 	if rep.Method != MethodSampled {
 		t.Errorf("Method = %q, want %q", rep.Method, MethodSampled)
 	}
-	// Uniform matching on K_22 has E(X) = 1; 40 correlated MCMC samples land
+	// Uniform matching on K_22 has E(X) = 1; 80 correlated MCMC samples land
 	// well within this slack.
 	if math.Abs(rep.Expected-1) > 0.75 {
 		t.Errorf("sampled Expected = %v, want ≈1", rep.Expected)

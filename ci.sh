@@ -24,7 +24,8 @@
 #                    microbenchmarks section, and — on single-core machines —
 #                    a flat_parallel_warning note) to track the perf
 #                    trajectory; before overwriting it, warn (never fail)
-#                    on each microbenchmark more than 25% slower than the
+#                    on each microbenchmark, and each serial (workers=1)
+#                    reading of a run object, more than 25% slower than the
 #                    committed file
 #   ./ci.sh -serve   additionally run the riskd serving smoke test
 #                    (ephemeral port, health probe, assess round-trip,
@@ -292,30 +293,41 @@ if [ -n "$bench" ]; then
 			}' >>BENCH_parallel.tmp
 	done
 	printf '\n  ]\n}\n' >>BENCH_parallel.tmp
-	# Compare each microbenchmark's ns_per_op with the committed file (the
-	# working copy outside a git checkout) and warn on any more than 25%
-	# slower, BENCHMARK.json's bound on CPU time. A warning never fails the
-	# run: the host may be shared, so one slow reading is not a regression.
+	# Compare each microbenchmark's ns_per_op, and the serial (workers=1)
+	# ns_per_op of each benchmark in every runs[] entry, with the committed
+	# file (the working copy outside a git checkout) and warn on any more
+	# than 25% slower, BENCHMARK.json's bound on CPU time. A warning never
+	# fails the run: the host may be shared, so one slow reading is not a
+	# regression.
 	git show HEAD:BENCH_parallel.json >BENCH_committed.json 2>/dev/null ||
 		cp BENCH_parallel.json BENCH_committed.json 2>/dev/null || : >BENCH_committed.json
 	awk '
 		# Each line of the microbenchmarks block that carries an ns_per_op
 		# names its benchmark; a nested one (OEstimateScan) is prefixed
-		# with the block that opened it.
-		FNR == 1 { micro = 0; group = "" }
-		/"microbenchmarks": \{/ { micro = 1; next }
-		!micro { next }
-		/^  \}/ { micro = 0; next }
-		/^    "[^"]+": \{$/ { split($0, q, "\""); group = q[2] "/"; next }
-		/^    \}/ { group = ""; next }
+		# with the block that opened it. In the runs[] block a serial
+		# reading is named by its benchmark and the gomaxprocs of its run.
+		FNR == 1 { block = ""; group = "" }
+		/"microbenchmarks": \{/ { block = "micro"; next }
+		/"runs": \[/ { block = "runs"; next }
+		block == "micro" && /^  \}/ { block = ""; next }
+		block == "micro" && /^    "[^"]+": \{$/ { split($0, q, "\""); group = q[2] "/"; next }
+		block == "micro" && /^    \}/ { group = ""; next }
+		block == "runs" && /"gomaxprocs": / { v = $0; sub(/.*"gomaxprocs": /, "", v); gmp = v + 0; next }
+		block == "runs" && /^        "[^"]+": \{$/ { split($0, q, "\""); bench = q[2]; next }
 		/"ns_per_op": / {
-			split($0, q, "\""); name = group q[2]
+			if (block == "micro") {
+				split($0, q, "\""); name = "microbenchmark " group q[2]
+			} else if (block == "runs" && /"workers=1": /) {
+				name = "serial run " bench "/workers=1 at GOMAXPROCS=" gmp
+			} else {
+				next
+			}
 			v = $0; sub(/.*"ns_per_op": /, "", v); v += 0
 			if (FILENAME == ARGV[1]) { old[name] = v; next }
 			if (!(name in old)) {
-				printf "ci.sh: microbenchmark %s is new: %.0f ns/op, no committed value\n", name, v
+				printf "ci.sh: %s is new: %.0f ns/op, no committed value\n", name, v
 			} else if (old[name] > 0 && v > 1.25 * old[name]) {
-				printf "ci.sh: warning: microbenchmark %s is %.0f%% slower than committed: %.0f ns/op vs %.0f\n", \
+				printf "ci.sh: warning: %s is %.0f%% slower than committed: %.0f ns/op vs %.0f\n", \
 					name, 100 * (v / old[name] - 1), v, old[name]
 			}
 		}' BENCH_committed.json BENCH_parallel.tmp

@@ -17,11 +17,13 @@ import (
 // figure10Datasets are the four benchmarks the paper plots in Figure 10.
 var figure10Datasets = []string{"CONNECT", "PUMSB", "ACCIDENTS", "RETAIL"}
 
+// simConfig is the sampler schedule of the simulated columns: the matching
+// package's defaults, or 440 sweeps per run over 3 runs in quick mode.
 func simConfig(quick bool) matching.Config {
 	if quick {
-		return matching.Config{SeedSweeps: 20, SampleGap: 2, SamplesPerSeed: 100, Samples: 200, Runs: 3}
+		return matching.Config{SeedSweeps: 10, Samples: 430, Runs: 3}
 	}
-	return matching.Config{SeedSweeps: 50, SampleGap: 5, SamplesPerSeed: 250, Samples: 1000, Runs: 5}
+	return matching.Config{}
 }
 
 // RunFigure10 compares the O-estimate against the averaged simulated estimate

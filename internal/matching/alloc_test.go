@@ -65,21 +65,21 @@ func TestTargetedSweepBatchZeroAllocs(t *testing.T) {
 
 func TestReseedZeroAllocs(t *testing.T) {
 	s := allocSampler(t)
-	if n := testing.AllocsPerRun(200, func() { s.Reseed(2) }); n != 0 {
-		t.Errorf("Reseed allocates %v per call, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { s.reseed(); s.Step(); s.Step() }); n != 0 {
+		t.Errorf("reseed and two sweeps allocate %v per call, want 0", n)
 	}
 }
 
 // TestSimulateRunSteadyStateAllocs drives entire runs through a warm
 // runScratch: after the first run binds the scratch to the graph, a full
-// simulateRun — reseeds, burn-in, sampling, budget charges included — must
+// simulateRun — seeding, burn-in, sampling, budget charges included — must
 // not allocate at all. This is the per-worker reuse contract that
 // EstimateCracksCtx's pool relies on.
 func TestSimulateRunSteadyStateAllocs(t *testing.T) {
 	ft := mustTable(t, 60, []int{4, 4, 11, 11, 11, 19, 19, 28, 28, 39, 39, 39, 50, 50})
 	bf := belief.UniformWidth(ft.Frequencies(), 0.09)
 	g := buildGraph(t, bf, ft)
-	cfg := Config{SeedSweeps: 5, SampleGap: 2, SamplesPerSeed: 10, Samples: 30, Runs: 1}.withDefaults()
+	cfg := Config{SeedSweeps: 5, Samples: 70, Runs: 1}.withDefaults()
 	ctx := context.Background()
 	sc := &runScratch{bud: budget.NewShared(ctx, budget.Config{}).Worker()}
 	if _, err := simulateRun(ctx, g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
@@ -103,7 +103,7 @@ func TestSimulateRunSteadyStateAllocs(t *testing.T) {
 // allocation-free.
 func TestSimulateRunBatchedSteadyStateAllocs(t *testing.T) {
 	g := batchChainGraph(t)
-	cfg := Config{SeedSweeps: 5, SampleGap: 2, SamplesPerSeed: 10, Samples: 30, Runs: 1}.withDefaults()
+	cfg := Config{SeedSweeps: 5, Samples: 70, Runs: 1}.withDefaults()
 	ctx := context.Background()
 	sc := &runScratch{bud: budget.NewShared(ctx, budget.Config{}).Worker()}
 	if _, err := simulateRun(ctx, g, cfg, parallel.SplitSeed(1, 0), sc); err != nil {
@@ -156,7 +156,8 @@ func TestIncrementalCracksMatchesRecount(t *testing.T) {
 		for k := 0; k < 500; k++ {
 			switch k % 10 {
 			case 9:
-				s.Reseed(1)
+				s.reseed()
+				s.Step()
 			case 4:
 				s.PaperMoves = true
 				s.Step()

@@ -62,7 +62,7 @@ func mixedGraph(t *testing.T) *bipartite.Graph {
 // calls and worker counts.
 func TestBatchEstimateDeterministic(t *testing.T) {
 	g := batchChainGraph(t)
-	cfg := Config{SeedSweeps: 10, SampleGap: 2, SamplesPerSeed: 50, Samples: 200, Runs: 6}
+	cfg := Config{SeedSweeps: 10, Samples: 430, Runs: 6}
 	at := func(workers int) *Estimate {
 		ctx := parallel.WithWorkers(context.Background(), workers)
 		est, err := EstimateCracksCtx(ctx, g, cfg, rand.New(rand.NewSource(42)))

@@ -21,9 +21,7 @@ func estimateAt(t *testing.T, workers int) *Estimate {
 	bf := belief.UniformWidth(ft.Frequencies(), 0.08)
 	g := buildGraph(t, bf, ft)
 	ctx := parallel.WithWorkers(context.Background(), workers)
-	est, err := EstimateCracksCtx(ctx, g, Config{
-		SeedSweeps: 10, SampleGap: 2, SamplesPerSeed: 50, Samples: 200, Runs: 6,
-	}, rand.New(rand.NewSource(42)))
+	est, err := EstimateCracksCtx(ctx, g, Config{SeedSweeps: 10, Samples: 430, Runs: 6}, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,28 +55,19 @@ func BenchmarkTargetedSweep(b *testing.B) {
 // BenchmarkEstimateCONNECT times the sampler a connect_sampled request runs:
 // one EstimateCracksCtx at the default Config on the CONNECT profile
 // (datagen seed 1) under its δ_med-wide belief, on one worker. ns/proposal
-// divides by the proposals the estimate makes, runs × sweeps × |open|.
+// divides by the proposals the estimate reports making.
 func BenchmarkEstimateCONNECT(b *testing.B) {
-	ft, err := datagen.CONNECT.Counts(rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := buildGraph(b, belief.UniformWidth(ft.Frequencies(), dataset.GroupItems(ft).MedianGap()), ft)
+	g := profileGraph(b, datagen.CONNECT, 1)
 	ctx := parallel.WithWorkers(context.Background(), 1)
-	s, err := NewSampler(ctx, g, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{}.withDefaults()
-	seeds := (cfg.Samples + cfg.SamplesPerSeed - 1) / cfg.SamplesPerSeed
-	sweeps := seeds*cfg.SeedSweeps + cfg.Samples*cfg.SampleGap
-	proposals := float64(cfg.Runs * sweeps * len(s.open))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var proposals int64
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateCracksCtx(ctx, g, Config{}, rand.New(rand.NewSource(1))); err != nil {
+		est, err := EstimateCracksCtx(ctx, g, Config{}, rand.New(rand.NewSource(1)))
+		if err != nil {
 			b.Fatal(err)
 		}
+		proposals += est.Proposals
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*proposals), "ns/proposal")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(proposals), "ns/proposal")
 }

@@ -218,7 +218,9 @@ func (s *oracleSampler) Step() int {
 }
 
 // oracleEstimate is EstimateCracksCtx run serially on the oracle kernel:
-// the same root draw, per-run seeds, schedule and reduction.
+// the same root draw, per-run seeds, schedule and reduction. A run is the
+// seed matching newOracle installs, cfg.SeedSweeps burn-in sweeps, then one
+// crack count after each of cfg.Samples sweeps.
 func oracleEstimate(t testing.TB, g *bipartite.Graph, cfg Config, rng *rand.Rand) *Estimate {
 	t.Helper()
 	cfg = cfg.withDefaults()
@@ -227,26 +229,15 @@ func oracleEstimate(t testing.TB, g *bipartite.Graph, cfg Config, rng *rand.Rand
 	for run := range est.RunMeans {
 		s := newOracle(t, g, parallel.SplitSeed(root, uint64(run)))
 		s.paperMoves = cfg.PaperMoves
-		reseed := func() {
-			s.reseed()
-			for i := 0; i < cfg.SeedSweeps; i++ {
-				s.Step()
-			}
+		for i := 0; i < cfg.SeedSweeps; i++ {
+			s.Step()
 		}
-		reseed()
-		total, sinceSeed := 0.0, 0
+		total := 0
 		for k := 0; k < cfg.Samples; k++ {
-			if sinceSeed == cfg.SamplesPerSeed {
-				reseed()
-				sinceSeed = 0
-			}
-			for sw := 0; sw < cfg.SampleGap; sw++ {
-				s.Step()
-			}
-			total += float64(s.cracks)
-			sinceSeed++
+			s.Step()
+			total += s.cracks
 		}
-		est.RunMeans[run] = total / float64(cfg.Samples)
+		est.RunMeans[run] = float64(total) / float64(cfg.Samples)
 	}
 	est.Mean = dataset.Mean(est.RunMeans)
 	est.StdDev = dataset.StdDev(est.RunMeans)
@@ -276,9 +267,7 @@ func assertLockstep(t *testing.T, name string, g *bipartite.Graph, seed int64, p
 	sameState("seed", 0)
 	for k := 0; k < sweeps; k++ {
 		if k%50 == 49 {
-			if err := s.Reseed(0); err != nil {
-				t.Fatal(err)
-			}
+			s.reseed()
 			o.reseed()
 			sameState("reseed before sweep", k)
 		}
@@ -314,7 +303,7 @@ func assertSameEstimate(t *testing.T, name string, g *bipartite.Graph, cfg Confi
 // δ_med graphs of four Figure 9 profiles (datagen seeds 1–3), on a chain
 // whose sweeps span several batches and on a graph mixing forced and open
 // items, and compares their estimates: the default schedule riskd runs on
-// the first CONNECT graph, a shorter one with reseeds on the others.
+// the first CONNECT graph, a shorter one on the others.
 func TestKernelMatchesOracleOnProfiles(t *testing.T) {
 	type namedGraph struct {
 		name string
@@ -323,16 +312,11 @@ func TestKernelMatchesOracleOnProfiles(t *testing.T) {
 	var graphs []namedGraph
 	for _, plan := range []datagen.GroupPlan{datagen.CONNECT, datagen.CHESS, datagen.MUSHROOM, datagen.ACCIDENTS} {
 		for seed := int64(1); seed <= 3; seed++ {
-			ft, err := plan.Counts(rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			bf := belief.UniformWidth(ft.Frequencies(), dataset.GroupItems(ft).MedianGap())
-			graphs = append(graphs, namedGraph{fmt.Sprintf("%s seed %d", plan.Name, seed), buildGraph(t, bf, ft)})
+			graphs = append(graphs, namedGraph{fmt.Sprintf("%s seed %d", plan.Name, seed), profileGraph(t, plan, seed)})
 		}
 	}
 	graphs = append(graphs, namedGraph{"chain", batchChainGraph(t)}, namedGraph{"forced and open", mixedGraph(t)})
-	short := Config{SeedSweeps: 10, SampleGap: 2, SamplesPerSeed: 40, Samples: 120, Runs: 3}
+	short := Config{SeedSweeps: 10, Samples: 260, Runs: 3}
 	for _, paperMoves := range []bool{false, true} {
 		for k, ng := range graphs {
 			assertLockstep(t, ng.name, ng.g, int64(100+k), paperMoves, 200)
@@ -351,7 +335,7 @@ func TestKernelMatchesOracleOnProfiles(t *testing.T) {
 // perfect matching, where forced pairs need not be cracks.
 func TestKernelMatchesOracleOnGreedySeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	cfg := Config{SeedSweeps: 5, SampleGap: 2, SamplesPerSeed: 20, Samples: 60, Runs: 2}
+	cfg := Config{SeedSweeps: 5, Samples: 130, Runs: 2}
 	found := 0
 	for attempt := 0; found < 200; attempt++ {
 		if attempt == 20000 {

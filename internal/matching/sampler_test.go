@@ -10,7 +10,9 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/budget"
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/parallel"
 )
 
 func buildGraph(t testing.TB, bf *belief.Function, ft *dataset.FrequencyTable) *bipartite.Graph {
@@ -20,6 +22,17 @@ func buildGraph(t testing.TB, bf *belief.Function, ft *dataset.FrequencyTable) *
 		t.Fatal(err)
 	}
 	return g
+}
+
+// profileGraph is the δ_med-wide graph of a Figure 9 profile (the graph a
+// connect_sampled request runs on CONNECT), for the datagen seed given.
+func profileGraph(t testing.TB, plan datagen.GroupPlan, seed int64) *bipartite.Graph {
+	t.Helper()
+	ft, err := plan.Counts(rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buildGraph(t, belief.UniformWidth(ft.Frequencies(), dataset.GroupItems(ft).MedianGap()), ft)
 }
 
 func mustTable(t testing.TB, m int, counts []int) *dataset.FrequencyTable {
@@ -229,6 +242,32 @@ func TestEstimateChargesOpenProposals(t *testing.T) {
 	}
 }
 
+// TestEstimateReportsProposals pins Estimate.Proposals to the schedule on
+// the graph a connect_sampled request runs: every run makes SeedSweeps +
+// Samples sweeps of |open| proposals, at any worker count.
+func TestEstimateReportsProposals(t *testing.T) {
+	g := profileGraph(t, datagen.CONNECT, 1)
+	s, err := NewSampler(context.Background(), g, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cfg     Config
+		workers int
+	}{{Config{}, 1}, {Config{}, 2}, {Config{SeedSweeps: 3, Samples: 7, Runs: 4}, 3}} {
+		ctx := parallel.WithWorkers(context.Background(), tc.workers)
+		est, err := EstimateCracksCtx(ctx, g, tc.cfg, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tc.cfg.withDefaults()
+		if want := int64(cfg.Runs * (cfg.SeedSweeps + cfg.Samples) * len(s.open)); est.Proposals != want {
+			t.Errorf("%+v on %d workers: %d proposals, want %d runs × %d sweeps × %d open items = %d",
+				tc.cfg, tc.workers, est.Proposals, cfg.Runs, cfg.SeedSweeps+cfg.Samples, len(s.open), want)
+		}
+	}
+}
+
 func TestEstimateFraction(t *testing.T) {
 	e := &Estimate{Mean: 2.5}
 	if got := e.Fraction(10); got != 0.25 {
@@ -238,10 +277,10 @@ func TestEstimateFraction(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.SeedSweeps <= 0 || c.SampleGap <= 0 || c.SamplesPerSeed <= 0 || c.Samples <= 0 || c.Runs <= 0 {
+	if c.SeedSweeps <= 0 || c.Samples <= 0 || c.Runs <= 0 {
 		t.Errorf("defaults not filled: %+v", c)
 	}
-	explicit := Config{SeedSweeps: 1, SampleGap: 2, SamplesPerSeed: 3, Samples: 4, Runs: 5}
+	explicit := Config{SeedSweeps: 1, Samples: 4, Runs: 5}
 	if got := explicit.withDefaults(); got != explicit {
 		t.Errorf("explicit config altered: %+v", got)
 	}
@@ -265,7 +304,10 @@ func TestSamplerDistributionMatchesExactSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Reseed(50)
+	s.reseed()
+	for sw := 0; sw < 50; sw++ {
+		s.Step()
+	}
 	const draws = 20000
 	mcmcHist := make([]float64, n+1)
 	for k := 0; k < draws; k++ {

@@ -177,6 +177,7 @@ func writeSSE(w io.Writer, event string, v any) {
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+	startReq := time.Now()
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server: draining"})
 		return
@@ -232,6 +233,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		Coalesced: from == riskcache.Coalesced,
 		Key:       job.Key,
 		Digest:    digest,
+		ElapsedMS: float64(time.Since(startReq)) / float64(time.Millisecond),
 		Outcome:   outcome,
 	}})
 	flusher.Flush()

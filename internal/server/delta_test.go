@@ -388,6 +388,46 @@ func TestSubscribePushesDeltaVerdicts(t *testing.T) {
 	}
 }
 
+// TestSubscribeFirstEventReportsElapsed pins the initial verdict event's
+// elapsed_ms to the time the handler spent on it: the subscription's
+// options differ from the assess that registered the table, so the handler
+// computes the verdict, and the injected computation takes 20 ms.
+func TestSubscribeFirstEventReportsElapsed(t *testing.T) {
+	s := New(Config{AssessFn: func(context.Context, *Job) (*Outcome, error) {
+		time.Sleep(20 * time.Millisecond)
+		return &Outcome{Mode: "recipe", Method: "stub"}, nil
+	}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var base AssessResponse
+	resp, err := http.Post(ts.URL+"/v1/assess", "application/json", strings.NewReader(countsBody(12, `, "runs": 2`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&base); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	sub, err := http.Get(ts.URL + "/v1/assess/subscribe?digest=" + base.Digest + "&runs=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Body.Close()
+	ev, err := readSSE(bufio.NewReader(sub.Body))
+	if err != nil || ev.name != "verdict" {
+		t.Fatalf("initial event = %+v, err %v; want verdict", ev, err)
+	}
+	var initial DeltaResponse
+	if err := json.Unmarshal([]byte(ev.data), &initial); err != nil {
+		t.Fatal(err)
+	}
+	if initial.Cached || initial.ElapsedMS < 20 {
+		t.Errorf("initial verdict cached %v, elapsed_ms %v; want a computed verdict of at least 20 ms", initial.Cached, initial.ElapsedMS)
+	}
+}
+
 // TestSubscribeDrainContract is satellite (d): BeginDrain closes every
 // stream with a terminal shutdown event, /readyz answers 503 by the time a
 // client sees that event, and the handler goroutines all exit (checked with

@@ -360,6 +360,8 @@ func (s *Server) Handler() http.Handler {
 // CacheStats exposes the cache counters (selfcheck, tests).
 func (s *Server) CacheStats() riskcache.Stats { return s.cache.Stats() }
 
+// handleHealthz answers liveness with the status and the uptime; the
+// cache and request counters are in /debug/vars.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",

@@ -316,12 +316,15 @@ func TestHealthzAndVars(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d", rec.Code)
 	}
-	var health struct {
-		Status string `json:"status"`
+	var health map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
+		t.Fatal(err)
 	}
-	json.Unmarshal(rec.Body.Bytes(), &health)
-	if health.Status != "ok" {
-		t.Errorf("healthz status %q", health.Status)
+	if health["status"] != "ok" {
+		t.Errorf("healthz status %v", health["status"])
+	}
+	if _, ok := health["uptime_s"].(float64); !ok || len(health) != 2 {
+		t.Errorf("healthz body %s: want exactly status and a numeric uptime_s", rec.Body.String())
 	}
 
 	post(t, h, countsBody(10, ""), nil)
